@@ -3,7 +3,8 @@
 Times each vectorized kernel against the scalar reference preserved in
 :mod:`repro.kernels.reference` at realistic sizes (a 10 Hz walking
 campaign is ~18k ticks), plus the end-to-end walking-trace generator as
-the representative figure runner (Fig. 13/14 input). Emits
+the representative figure runner (Fig. 13/14 input), and the indexed
+serving-distance search against the all-tower scan it replaced. Emits
 ``BENCH_kernels.json`` at the repo root and fails if any kernel's
 speedup regresses below half its checked-in baseline
 (``benchmarks/baselines/BENCH_kernels_baseline.json``) — speedup ratios
@@ -30,6 +31,7 @@ from repro.radio.bands import NR_N261
 from repro.radio.carriers import get_network
 from repro.radio.link import LinkBudget, MODEMS
 from repro.radio.signal import RsrpProcess
+from repro.radio.towers import TowerGrid
 from repro.traces.walking import WalkingTraceGenerator
 from repro.transport.flow import TcpFlow, UdpFlow
 
@@ -55,6 +57,24 @@ def _best_of(fn, repeats: int = 3) -> float:
 def _distances(n: int) -> np.ndarray:
     rng = np.random.default_rng(99)
     return np.clip(60.0 + np.cumsum(rng.normal(0.0, 1.0, n)), 10.0, 400.0)
+
+
+def _all_tower_distances(grid, x, y, band, default_m):
+    """The all-tower scan ``TowerGrid.serving_distances`` replaced:
+    every sample against every tower of ``band``, in 1<<20-element
+    chunks. The oracle for the serving-distance row."""
+    towers = grid.towers_for_band(band)
+    tx = np.array([[t.x_m] for t in towers])
+    ty = np.array([[t.y_m] for t in towers])
+    coverage = band.coverage_km * 1000.0
+    chunk = max(1, (1 << 20) // len(towers))
+    best = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], chunk):
+        stop = start + chunk
+        distances = np.hypot(tx - x[start:stop], ty - y[start:stop])
+        distances = np.where(distances > coverage, np.inf, distances)
+        best[start:stop] = distances.min(axis=0)
+    return np.where(np.isinf(best), default_m, best)
 
 
 def _measure_kernels() -> dict:
@@ -141,16 +161,44 @@ def _measure_kernels() -> dict:
         ),
     }
 
+    # Serving distance on the default fleet city's mmWave grid (169
+    # towers, 350 m coverage) over scattered samples; the index is
+    # built once, outside the timed calls.
+    grid = TowerGrid.uniform_grid(NR_N261, 4000.0, 300.0)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 4000.0, 4 * N_STEPS)
+    y = rng.uniform(0.0, 4000.0, 4 * N_STEPS)
+    start = time.perf_counter()
+    grid.serving_distances(x[:1], y[:1], NR_N261, 350.0)
+    build_s = time.perf_counter() - start
+    indexed = grid.serving_distances(x, y, NR_N261, 350.0)
+    oracle = _all_tower_distances(grid, x, y, NR_N261, 350.0)
+    assert np.array_equal(indexed, oracle), "serving index not bit-identical"
+    results["serving_distance"] = {
+        "scalar_s": _best_of(
+            lambda: _all_tower_distances(grid, x, y, NR_N261, 350.0)
+        ),
+        "vector_s": _best_of(
+            lambda: grid.serving_distances(x, y, NR_N261, 350.0)
+        ),
+    }
+
     for entry in results.values():
         entry["speedup"] = round(entry["scalar_s"] / entry["vector_s"], 2)
         entry["scalar_s"] = round(entry["scalar_s"], 5)
         entry["vector_s"] = round(entry["vector_s"], 5)
-    return results
+    return results, build_s
 
 
 def test_kernel_speedups(benchmark):
-    results = benchmark.pedantic(_measure_kernels, rounds=1, iterations=1)
-    payload = {"n_steps": N_STEPS, "kernels": results}
+    results, build_s = benchmark.pedantic(
+        _measure_kernels, rounds=1, iterations=1
+    )
+    payload = {
+        "n_steps": N_STEPS,
+        "kernels": results,
+        "serving_index_build_s": round(build_s, 5),
+    }
     path = emit_json("BENCH_kernels.json", payload)
 
     lines = [f"{'kernel':<18}{'scalar':>10}{'vector':>10}{'speedup':>9}"]
@@ -159,6 +207,7 @@ def test_kernel_speedups(benchmark):
             f"{name:<18}{entry['scalar_s']:>9.4f}s{entry['vector_s']:>9.4f}s"
             f"{entry['speedup']:>8.1f}x"
         )
+    lines.append(f"serving_distance index build {build_s * 1e3:.1f} ms")
     lines.append(f"written to {path.name}")
     emit(f"Kernel speedups at {N_STEPS} steps", "\n".join(lines))
 
@@ -168,6 +217,10 @@ def test_kernel_speedups(benchmark):
     # The tentpole's acceptance floors.
     assert results["rsrp_series"]["speedup"] >= 10.0, results["rsrp_series"]
     assert results["walking_trace"]["speedup"] >= 5.0, results["walking_trace"]
+    # Serving distance on the default city: >= 10x the all-tower scan.
+    assert results["serving_distance"]["speedup"] >= 10.0, results[
+        "serving_distance"
+    ]
     for name, entry in results.items():
         assert entry["speedup"] > 1.0, f"{name} slower than scalar: {entry}"
 

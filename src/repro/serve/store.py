@@ -66,6 +66,13 @@ class BoundedResultCache(ResultCache):
         super().__init__(root, events=events)
         self.max_bytes = int(max_bytes)
         self._size_lock = threading.Lock()
+        # Entries whose put has started its commit but not yet added
+        # its bytes (path -> puts in flight), budget scans in flight,
+        # and a count of how many of either have started: enforce_budget
+        # trusts a scan's directory total only when none overlapped it.
+        self._committing: Dict[Path, int] = {}
+        self._scanning = 0
+        self._starts = 0
         self._disk_bytes = self.size_bytes()
         self._reserved_bytes = 0
         self.evictions = 0
@@ -100,13 +107,23 @@ class BoundedResultCache(ResultCache):
                 # exceeds the budget mid-put, even with concurrent
                 # writers (each one's reservation is accounted).
                 self.enforce_budget()
-            path = super().put(spec, key, value)
-            try:
-                added = path.stat().st_size
-            except OSError:
-                added = estimate
+            target = self.path_for(spec, key)
             with self._size_lock:
-                self._disk_bytes += added
+                self._committing[target] = self._committing.get(target, 0) + 1
+                self._starts += 1
+            added = 0
+            try:
+                path = super().put(spec, key, value)
+                try:
+                    added = path.stat().st_size
+                except OSError:
+                    added = estimate
+            finally:
+                with self._size_lock:
+                    self._committing[target] -= 1
+                    if not self._committing[target]:
+                        del self._committing[target]
+                    self._disk_bytes += added
         finally:
             with self._size_lock:
                 self._reserved_bytes -= estimate
@@ -117,19 +134,47 @@ class BoundedResultCache(ResultCache):
             self.enforce_budget()
         return path
 
+    def entry_stats(self) -> List[Tuple[Path, int, int]]:
+        """Committed entries, minus those whose put has not yet added
+        their bytes to the account: ``gc`` cannot evict (and subtract)
+        an entry before its put has counted it. Their reservations
+        still hold the room they take."""
+        with self._size_lock:
+            pending = set(self._committing)
+        return [
+            item for item in super().entry_stats() if item[0] not in pending
+        ]
+
     def enforce_budget(self) -> Dict[str, Any]:
         """Evict LRU entries until committed + reserved bytes fit.
 
-        Reconciles the committed account against the exact directory
-        scan ``gc`` performs.
+        The committed account drops by the bytes ``gc`` freed. When no
+        put committed and no other scan ran while ``gc`` scanned, the
+        account is instead reconciled to the scan's exact directory
+        total. A put that commits during the scan may or may not be in
+        that total, so a raced scan must not overwrite the account; the
+        lock is never held across the scan, so puts do not wait on it.
         """
         with self._size_lock:
             reserved = self._reserved_bytes
-        summary = self.gc(max(0, self.max_bytes - reserved))
+            quiet = not self._committing and not self._scanning
+            self._scanning += 1
+            self._starts += 1
+            starts = self._starts
+        try:
+            summary = self.gc(max(0, self.max_bytes - reserved))
+        except BaseException:
+            with self._size_lock:
+                self._scanning -= 1
+            raise
         with self._size_lock:
-            self._disk_bytes = summary["size_bytes"]
-        self.evictions += summary["evicted"]
-        self.evicted_bytes += summary["freed_bytes"]
+            self._scanning -= 1
+            if quiet and self._starts == starts:
+                self._disk_bytes = summary["size_bytes"]
+            else:
+                self._disk_bytes -= summary["freed_bytes"]
+            self.evictions += summary["evicted"]
+            self.evicted_bytes += summary["freed_bytes"]
         return summary
 
     def stats(self) -> Dict[str, Any]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -55,6 +56,57 @@ class TestBoundedResultCache:
         _fill(seed_cache, 4)
         reopened = BoundedResultCache(tmp_path, max_bytes=10**9)
         assert reopened.approx_bytes == reopened.size_bytes() > 0
+
+    def test_put_committing_after_scan_is_counted(self, tmp_path):
+        cache = BoundedResultCache(tmp_path, max_bytes=2048)
+        _fill(cache, 4, payload_bytes=300)
+        # The next put must evict; one more put commits between gc's
+        # directory scan and the account update that follows it, so
+        # the scan's total does not include it.
+        scan = cache.gc
+        late = [JobSpec(runner="test.echo", seed=99, label="late")]
+
+        def scan_then_put(max_bytes):
+            summary = scan(max_bytes)
+            if late:
+                spec = late.pop()
+                cache.put(spec, cache.key_for(spec, "v"), {"blob": "z" * 40})
+            return summary
+
+        cache.gc = scan_then_put
+        spec = JobSpec(runner="test.echo", seed=100, label="last")
+        cache.put(spec, cache.key_for(spec, "v"), {"blob": "x" * 300})
+        assert not late
+        assert cache.approx_bytes == cache.size_bytes() <= cache.max_bytes
+
+    def test_concurrent_puts_keep_account_exact(self, tmp_path):
+        cache = BoundedResultCache(tmp_path, max_bytes=8192)
+        errors = []
+
+        def writer(offset):
+            try:
+                for i in range(40):
+                    spec = JobSpec(runner="test.echo", seed=offset + i)
+                    cache.put(spec, cache.key_for(spec, "v"), {"b": "w" * 400})
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(1000 * t,))
+                for t in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert cache.approx_bytes == cache.size_bytes() <= cache.max_bytes
 
     def test_stats_shape(self, tmp_path):
         cache = BoundedResultCache(tmp_path, max_bytes=4096)
