@@ -26,8 +26,10 @@ Record builders:
   :class:`repro.engine.pool.SweepResult` (duck-typed; this module
   never imports the engine, mirroring :mod:`repro.obs.manifest`).
 * :func:`record_from_ledger` — one streaming pass over an events
-  JSONL (used by ``repro serve`` at drain time and by
-  ``repro sweep`` when only a ledger is at hand).
+  JSONL through the shared ledger fold
+  (:class:`repro.obs.stats.LedgerFold`), so its counts are
+  ``repro stats``' counts (used by ``repro serve`` at drain time and
+  by ``repro sweep`` when only a ledger is at hand).
 * :func:`record_from_bench` — wraps a ``BENCH_*.json`` payload so
   benchmark runs land in the same timeline.
 
@@ -48,7 +50,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.obs.events import iter_events
 from repro.obs.metrics import percentile
-from repro.obs.stats import STATS_SCHEMA, aggregate_events
+from repro.obs.stats import STATS_SCHEMA, LedgerFold
 
 PathLike = Union[str, Path]
 
@@ -245,49 +247,29 @@ def record_from_ledger(
 ) -> Dict[str, Any]:
     """Build an archive record from an events ledger in one pass.
 
-    Streams the ledger (:func:`repro.obs.events.iter_events`), feeding
-    the same events to :func:`~repro.obs.stats.aggregate_events` while
-    siphoning off per-runner duration samples, the latest ``gauge``
-    fields per name, and the engine's ``run_summary`` metadata — one
-    read, bounded memory, works on multi-GB fleet ledgers.
+    Streams the ledger (:func:`repro.obs.events.iter_events`) through
+    the shared :class:`~repro.obs.stats.LedgerFold`, so the record's
+    counts are ``repro stats``' counts. Per-runner duration samples,
+    the latest ``gauge`` fields per name and the engine's
+    ``run_summary`` metadata come from the same fold; the ledger
+    itself is never resident.
     """
-    reservoirs: Dict[str, SampleReservoir] = {}
-    gauge_latest: Dict[str, Dict[str, Any]] = {}
-    meta: Dict[str, Any] = {}
-
-    def _stream() -> Iterator[Mapping[str, Any]]:
-        for event in iter_events(path):
-            event_kind = event.get("event")
-            if event_kind == "job_end":
-                runner = str(event.get("runner", "?"))
-                reservoirs.setdefault(runner, SampleReservoir()).add(
-                    float(event.get("duration_s", 0.0))
-                )
-            elif event_kind == "gauge":
-                gauge_latest[str(event.get("name", "?"))] = dict(event)
-            elif event_kind == "run_summary":
-                for key in ("code_version", "workers", "dispatch", "backend"):
-                    if event.get(key) is not None:
-                        meta[key] = event[key]
-            yield event
-
-    aggregate = aggregate_events(_stream())
-    overall = aggregate["overall"]
+    fold = LedgerFold()
+    for event in iter_events(path):
+        fold.feed(event)
+    meta = fold.run_summary or {}
+    aggregate = fold.snapshot()
     runners: Dict[str, Dict[str, Any]] = {}
     for runner, stats in aggregate["runners"].items():
-        samples = (
-            reservoirs[runner].samples() if runner in reservoirs else []
-        )
-        bucket = {
-            "jobs": stats["total"],
-            "ok": stats["ok"],
-            "cached": stats["cached"],
-            "failed": stats["failed"],
-            "skipped": stats["skipped"],
-        }
-        runners[runner] = _runner_entry(bucket, samples)
+        reservoir = SampleReservoir()
+        for duration in fold.runners.get(runner, {}).get("durations", ()):
+            reservoir.add(duration)
+        bucket = {"jobs": stats["total"]}
+        for key in ("ok", "cached", "failed", "skipped"):
+            bucket[key] = stats[key]
+        runners[runner] = _runner_entry(bucket, reservoir.samples())
     gauges = _gauge_entries(
-        [gauge_latest[name] for name in sorted(gauge_latest)]
+        [fold.gauges[name] for name in sorted(fold.gauges)]
     )
     record = {
         "schema": ARCHIVE_SCHEMA,
@@ -299,16 +281,11 @@ def record_from_ledger(
         "backend": meta.get("backend"),
         "stats_schema": aggregate.get("schema", STATS_SCHEMA),
         "overall": {
-            "jobs": overall["jobs"],
-            "ok": overall["ok"],
-            "cached": overall["cached"],
-            "failed": overall["failed"],
-            "skipped": overall["skipped"],
-            "interrupted": overall.get("interrupted", 0),
-            "retries": overall["retries"],
-            "timeouts": overall["timeouts"],
-            "elapsed_s": overall["elapsed_s"],
-            "cache_hit_rate": overall["cache_hit_rate"],
+            key: aggregate["overall"][key]
+            for key in (
+                "jobs", "ok", "cached", "failed", "skipped", "interrupted",
+                "retries", "timeouts", "elapsed_s", "cache_hit_rate",
+            )
         },
         "runners": runners,
         "gauges": gauges,

@@ -17,6 +17,12 @@ with everything you want to see after a campaign:
   flames show where time went *inside* the job);
 * per-runner latency percentiles and a span-name roll-up table.
 
+One pass over the ledger through the shared
+:class:`repro.obs.stats.LedgerFold` gives every count, so the report
+agrees with ``repro stats``. Each job run is its own row, also when
+appended sweeps re-run a ``(label, index)``; spans are held only while
+their run is in flight, and kept only for each runner's slowest run.
+
 All charts are inline SVG from :mod:`repro.viz.svg`; the page embeds
 no external resources, so it can be archived as a CI artifact and
 opened anywhere.
@@ -27,11 +33,11 @@ from __future__ import annotations
 import html
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.obs.calib import load_overrides, rescore
-from repro.obs.events import read_events
-from repro.obs.stats import aggregate_events
+from repro.obs.events import iter_events
+from repro.obs.stats import LedgerFold, tally_gauges
 from repro.viz.svg import BarChart, TimelineChart, TimelineSpan
 
 PathLike = Union[str, Path]
@@ -52,81 +58,76 @@ MAX_FLAME_RUNNERS = 8
 
 
 def build_report(
-    events: Sequence[Mapping[str, Any]],
+    events: Iterable[Mapping[str, Any]],
     manifest: Optional[Mapping[str, Any]] = None,
     overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Fold a ledger into the report's data model (plain dicts).
 
-    ``overrides`` re-scores recorded gauge events against new
-    targets/thresholds (see :func:`repro.obs.calib.rescore`).
+    One pass over ``events`` (any iterable). ``jobs`` holds one row per
+    job run; ``spans_by_job`` the spans of each runner's slowest
+    settled run, under the ``span_key`` its row carries. ``overrides``
+    re-scores recorded gauge events against new targets/thresholds
+    (see :func:`repro.obs.calib.rescore`).
     """
-    aggregate = aggregate_events(events)
-
+    fold = LedgerFold()
     epoch: Optional[float] = None
-    jobs: Dict[Any, Dict[str, Any]] = {}
-    spans_by_job: Dict[Any, List[Dict[str, Any]]] = {}
-    gauges: Dict[str, Dict[str, Any]] = {}
+    jobs: List[Dict[str, Any]] = []
+    slowest: Dict[str, Any] = {}  # runner -> (run, its spans)
     for event in events:
         kind = event.get("event")
+        if kind == "span_end" and "index" in event:
+            run = fold.open_run(event)
+            if run is not None:
+                run.setdefault("spans", []).append(dict(event))
+        run = fold.feed(event)
         if kind == "sweep_start" and epoch is None:
             epoch = float(event.get("t", 0.0))
-        elif kind == "job_start":
-            key = (event.get("label"), event.get("index"))
-            jobs[key] = {
-                "label": str(event.get("label", "?")),
-                "runner": str(event.get("runner", "?")),
-                "index": event.get("index"),
-                "t_start": float(event.get("t", 0.0)),
-                "duration_s": 0.0,
-                "status": "running",
-            }
         elif kind == "job_end":
-            key = (event.get("label"), event.get("index"))
-            job = jobs.setdefault(
-                key,
-                {
-                    "label": str(event.get("label", "?")),
-                    "runner": str(event.get("runner", "?")),
-                    "index": event.get("index"),
-                    "t_start": float(event.get("t", 0.0)),
-                },
-            )
-            job["duration_s"] = float(event.get("duration_s", 0.0))
-            job["status"] = str(event.get("status", "?"))
+            run["duration_s"] = float(event.get("duration_s", 0.0))
+            run["status"] = str(event.get("status", "?"))
             if event.get("profile_path"):
-                job["profile_path"] = event["profile_path"]
-        elif kind == "span_end" and "index" in event:
-            key = (event.get("label"), event.get("index"))
-            spans_by_job.setdefault(key, []).append(dict(event))
-        elif kind == "gauge":
-            gauges[str(event.get("name", "?"))] = dict(event)
+                run["profile_path"] = event["profile_path"]
+            jobs.append(run)
+            spans = run.pop("spans", None)
+            runner = run["runner"]
+            if spans and (
+                runner not in slowest
+                or run["duration_s"] > slowest[runner][0]["duration_s"]
+            ):
+                slowest[runner] = (run, spans)
+    for run in fold.running():  # torn off, or still in flight
+        run.pop("spans", None)
+        jobs.append(dict(run, duration_s=0.0, status="running"))
 
+    spans_by_job: Dict[str, List[Dict[str, Any]]] = {}
+    for runner in sorted(slowest):
+        run, spans = slowest[runner]
+        key = str((run["label"], run["index"]))
+        if key in spans_by_job:
+            key = str((runner, run["label"], run["index"]))
+        run["span_key"] = key
+        spans_by_job[key] = spans
+
+    aggregate = fold.snapshot()
+    gauges = fold.gauges
     if overrides:
         gauges = {
             name: rescore(fields, overrides)
             for name, fields in gauges.items()
         }
-        counts = {"pass": 0, "warn": 0, "fail": 0, "skipped": 0}
-        for fields in gauges.values():
-            status = str(fields.get("status", "?"))
-            counts[status] = counts.get(status, 0) + 1
-        aggregate["gauges"] = counts
+        aggregate["gauges"] = tally_gauges(gauges.values())
 
     if epoch is None:
-        epoch = min(
-            (j["t_start"] for j in jobs.values()), default=0.0
-        )
-    job_list = sorted(jobs.values(), key=lambda j: j["t_start"])
-    for job in job_list:
+        epoch = min((j["t_start"] for j in jobs), default=0.0)
+    jobs.sort(key=lambda j: j["t_start"])
+    for job in jobs:
         job["offset_s"] = round(job["t_start"] - epoch, 6)
 
     return {
         "aggregate": aggregate,
-        "jobs": job_list,
-        "spans_by_job": {
-            str(key): spans for key, spans in spans_by_job.items()
-        },
+        "jobs": jobs,
+        "spans_by_job": spans_by_job,
         "gauges": [gauges[name] for name in sorted(gauges)],
         "manifest": dict(manifest) if manifest is not None else None,
     }
@@ -164,21 +165,13 @@ def _sweep_timeline_svg(model: Mapping[str, Any]) -> Optional[str]:
 
 
 def _flame_svgs(model: Mapping[str, Any]) -> List[str]:
-    """One span timeline per runner, for its slowest traced job."""
-    slowest: Dict[str, Dict[str, Any]] = {}
-    for job in model["jobs"]:
-        key = str((job["label"], job["index"]))
-        if key not in model["spans_by_job"]:
-            continue
-        runner = job["runner"]
-        if (
-            runner not in slowest
-            or job["duration_s"] > slowest[runner]["duration_s"]
-        ):
-            slowest[runner] = dict(job, span_key=key)
+    """One span timeline per runner, for its slowest traced job run."""
+    flamed = sorted(
+        (job for job in model["jobs"] if "span_key" in job),
+        key=lambda job: job["runner"],
+    )
     svgs: List[str] = []
-    for runner in sorted(slowest)[:MAX_FLAME_RUNNERS]:
-        job = slowest[runner]
+    for job in flamed[:MAX_FLAME_RUNNERS]:
         spans = model["spans_by_job"][job["span_key"]]
         chart = TimelineChart(
             title=f"Spans: {job['label']}",
@@ -406,17 +399,19 @@ def write_report(
 ) -> Dict[str, Any]:
     """Build and write the HTML report; returns the data model.
 
-    The caller decides exit semantics from the model (``repro report``
-    exits 1 when any gauge fails).
+    Streams the ledger (:func:`repro.obs.events.iter_events`), never
+    holding it whole. The caller decides exit semantics from the model
+    (``repro report`` exits 1 when any gauge fails).
     """
-    events = read_events(ledger_path)
     manifest = None
     if manifest_path is not None:
         manifest = json.loads(Path(manifest_path).read_text())
     overrides = None
     if gauges_path is not None:
         overrides = load_overrides(gauges_path)
-    model = build_report(events, manifest=manifest, overrides=overrides)
+    model = build_report(
+        iter_events(ledger_path), manifest=manifest, overrides=overrides
+    )
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(

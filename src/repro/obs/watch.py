@@ -15,8 +15,14 @@ continuously redrawn status panel:
 * the gauge scoreboard and the engine's ``run_summary`` once the
   sweep lands.
 
-The tailer never yields a half-written event: bytes are buffered until
-a newline, so a reader racing the writer sees only complete lines. A
+Its counts come from the shared :class:`repro.obs.stats.LedgerFold`,
+so on every prefix of a ledger they equal ``repro stats``' (a job
+started but not ended counts as failed; the panel shows it as in
+flight while the run is live). The tailer reads bounded chunks and
+cuts lines scanning from an offset: linear time, and one chunk plus
+one unfinished line in memory however large the ledger grows. It
+never yields a half-written event: bytes are held back until a
+newline, so a reader racing the writer sees only complete lines. A
 line that *completes* but does not parse (a torn write that a later
 writer appended after) is skipped with a single ``RuntimeWarning`` —
 the tail keeps going — and a trailing unterminated fragment left at
@@ -44,12 +50,15 @@ from typing import (
     Union,
 )
 
+from repro.obs.metrics import percentile
+from repro.obs.stats import LedgerFold, tally_gauges
+
 PathLike = Union[str, Path]
 
-#: Events that mark "this run is over" for the default watch loop.
-TERMINAL_EVENTS = frozenset({"run_summary", "serve_stop"})
-
 _BAR_WIDTH = 24
+
+#: Characters :func:`follow_events` reads from the ledger at a time.
+READ_CHUNK = 1 << 20
 
 
 class _LineAssembler:
@@ -58,16 +67,26 @@ class _LineAssembler:
     def __init__(self, source: str) -> None:
         self.source = source
         self._buffer = ""
+        self._start = 0  # offset of the first unconsumed character
         self._warned = False
 
     def push(self, chunk: str) -> Iterator[Dict[str, Any]]:
-        """Feed raw text; yields every event completed by it."""
+        """Feed raw text; yields every event completed by it.
+
+        Lines are cut by scanning from an offset, and only the
+        unfinished tail is carried to the next push, so the cost is
+        linear in the text fed, whatever the chunking.
+        """
         if not chunk:
             return
-        self._buffer += chunk
-        while "\n" in self._buffer:
-            line, self._buffer = self._buffer.split("\n", 1)
-            line = line.strip()
+        self._buffer = self._buffer[self._start:] + chunk
+        self._start = 0
+        while True:
+            end = self._buffer.find("\n", self._start)
+            if end < 0:
+                return
+            line = self._buffer[self._start:end].strip()
+            self._start = end + 1
             if not line:
                 continue
             try:
@@ -80,12 +99,12 @@ class _LineAssembler:
 
     def finish(self) -> None:
         """Call at end-of-follow: a leftover fragment is a torn tail."""
-        if self._buffer.strip():
+        if self._buffer[self._start:].strip():
             self._warn(
                 f"{self.source}: dropping torn trailing event fragment "
                 "(writer likely died mid-append)"
             )
-            self._buffer = ""
+        self._buffer, self._start = "", 0
 
     def _warn(self, message: str) -> None:
         if self._warned:
@@ -109,7 +128,9 @@ def follow_events(
     for it. ``stop()`` is checked every poll; when it returns True the
     generator drains whatever is already on disk and returns.
     ``from_start=False`` starts at the current end of file (attach to
-    a long-running serve ledger without replaying history).
+    a long-running serve ledger without replaying history). The file
+    is read :data:`READ_CHUNK` characters at a time, each poll
+    draining to the end of what is on disk.
     """
     path = Path(path)
     assembler = _LineAssembler(str(path))
@@ -122,12 +143,13 @@ def follow_events(
                     if not from_start:
                         handle.seek(0, 2)
             got_data = False
-            if handle is not None:
-                chunk = handle.read()
+            while handle is not None:
+                chunk = handle.read(READ_CHUNK)
                 if chunk:
                     got_data = True
-                    for event in assembler.push(chunk):
-                        yield event
+                    yield from assembler.push(chunk)
+                if len(chunk) < READ_CHUNK:
+                    break  # a short read is the current end of file
             if stop is not None and stop():
                 return
             if not got_data:
@@ -224,105 +246,52 @@ class WatchView:
 
     Pure state machine: :meth:`feed` one event at a time (in ledger
     order), :meth:`render` whenever a redraw is due. Works identically
-    on a finished ledger (replay) and a growing one (tail).
+    on a finished ledger (replay) and a growing one (tail). The counts
+    are the shared :class:`~repro.obs.stats.LedgerFold`'s; the view
+    adds only what the panel alone shows (planned jobs, clock, fleet
+    snapshot, serve lifecycle).
     """
 
     def __init__(self, source: str = "") -> None:
         self.source = source
+        self.fold = LedgerFold()
         self.total = 0
-        self.ok = 0
-        self.cached = 0
-        self.failed = 0
-        self.skipped = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.crashes = 0
-        self.quarantines = 0
-        self.sweeps_started = 0
-        self.sweeps_ended = 0
-        self.events_seen = 0
-        self.last_event: Optional[str] = None
         self.first_t: Optional[float] = None
         self.last_t: Optional[float] = None
         self.workers: Optional[int] = None
-        self.runners: Dict[str, Dict[str, Any]] = {}
-        self.running: Dict[Any, Dict[str, Any]] = {}
         self.snapshot: Optional[Dict[str, Any]] = None
-        self.gauges: Dict[str, str] = {}
-        self.run_summary: Optional[Dict[str, Any]] = None
         self.serve_counts: Dict[str, int] = {}
+        self._closes = {"run_summary": 0, "sweep_end": 0}
+
+    ok = property(lambda self: self.fold.counts["ok"])
+    cached = property(lambda self: self.fold.counts["cached"])
+    failed = property(lambda self: self.fold.counts["failed"])
+    skipped = property(lambda self: self.fold.counts["skipped"])
+    retries = property(lambda self: self.fold.counts["retries"])
+    timeouts = property(lambda self: self.fold.counts["timeouts"])
+    run_summary = property(lambda self: self.fold.run_summary)
+    #: One entry per open ``job_start`` (in flight, or torn off).
+    running = property(lambda self: self.fold.running())
 
     # -- ingestion -------------------------------------------------------
     def feed(self, event: Mapping[str, Any]) -> None:
-        self.events_seen += 1
+        self.fold.feed(event)
         kind = str(event.get("event", "?"))
-        self.last_event = kind
         t = event.get("t")
         if isinstance(t, (int, float)):
             if self.first_t is None:
                 self.first_t = float(t)
             self.last_t = float(t)
-        if kind == "sweep_start":
-            self.sweeps_started += 1
+        if kind in self._closes:
+            self._closes[kind] += 1
+        elif kind == "sweep_start":
             self.total += int(event.get("jobs", 0))
             if event.get("workers"):
                 self.workers = int(event["workers"])
-        elif kind == "sweep_end":
-            self.sweeps_ended += 1
-        elif kind == "job_start":
-            key = (event.get("label"), event.get("index"))
-            self.running[key] = {
-                "label": str(event.get("label", "?")),
-                "t": float(event.get("t", 0.0) or 0.0),
-            }
-        elif kind == "job_end":
-            self.running.pop(
-                (event.get("label"), event.get("index")), None
-            )
-            status = str(event.get("status", "failed"))
-            bucket = self._runner(str(event.get("runner", "?")))
-            bucket["done"] += 1
-            bucket["duration_s"] += float(event.get("duration_s", 0.0))
-            bucket["durations"].append(float(event.get("duration_s", 0.0)))
-            if status == "ok":
-                self.ok += 1
-            else:
-                self.failed += 1
-                if event.get("error_type") == "WorkerCrashError":
-                    self.crashes += 1
-        elif kind == "cache_hit":
-            self.cached += 1
-            self._runner(str(event.get("runner", "?")))["cached"] += 1
-        elif kind == "job_skipped":
-            self.skipped += 1
-        elif kind == "job_retry":
-            self.retries += 1
-            self._runner(str(event.get("runner", "?")))["retries"] += 1
-        elif kind == "job_timeout":
-            self.timeouts += 1
-        elif kind == "cache_quarantine":
-            self.quarantines += 1
         elif kind == "reducer_snapshot":
             self.snapshot = dict(event)
-        elif kind == "gauge":
-            self.gauges[str(event.get("name", "?"))] = str(
-                event.get("status", "?")
-            )
-        elif kind == "run_summary":
-            self.run_summary = dict(event)
         elif kind.startswith("serve_"):
             self.serve_counts[kind] = self.serve_counts.get(kind, 0) + 1
-
-    def _runner(self, name: str) -> Dict[str, Any]:
-        if name not in self.runners:
-            self.runners[name] = {
-                "done": 0,
-                "cached": 0,
-                "retries": 0,
-                "duration_s": 0.0,
-                "durations": [],
-            }
-        return self.runners[name]
 
     # -- derived ---------------------------------------------------------
     @property
@@ -333,15 +302,15 @@ class WatchView:
     def finished(self) -> bool:
         """True once the stream says the run is over.
 
-        ``run_summary`` (or ``serve_stop``) is authoritative; matched
-        ``sweep_start``/``sweep_end`` pairs cover ledgers written
-        before the summary hook existed.
+        That is ``serve_stop``, or every started sweep having ended or
+        been summarised — so a ledger that several sweeps append to is
+        not over while a later sweep still runs. A sweep closes with a
+        ``run_summary`` and then a ``sweep_end`` (older ledgers: the
+        ``sweep_end`` alone), so the larger count is the closed sweeps.
         """
-        if self.run_summary is not None:
-            return True
         if self.serve_counts.get("serve_stop"):
             return True
-        return 0 < self.sweeps_started == self.sweeps_ended
+        return 0 < max(self._closes.values()) >= self.fold.counts["sweeps"]
 
     @property
     def elapsed_s(self) -> float:
@@ -373,49 +342,55 @@ class WatchView:
             if self.finished
             else (f"ETA {eta:.0f}s" if eta is not None else "ETA —")
         )
+        running = self.running
+        open_part = ""
+        if running:
+            state = "interrupted" if self.finished else "in flight"
+            open_part = f" ({len(running)} {state})"
         lines.append(
             f"[{bar}] {self.done}/{total} jobs  "
             f"({self.ok} ok, {self.cached} cached, {self.failed} failed"
+            + open_part
             + (f", {self.skipped} skipped" if self.skipped else "")
             + f")  elapsed {self.elapsed_s:.1f}s  {eta_s}  {rate}"
         )
         fault_bits = [
             f"{self.retries} retries",
             f"{self.timeouts} timeouts",
-            f"{self.crashes} crashes",
+            f"{self.fold.crashes} crashes",
         ]
-        if self.quarantines:
-            fault_bits.append(f"{self.quarantines} quarantines")
+        quarantines = self.fold.counts["cache_quarantines"]
+        if quarantines:
+            fault_bits.append(f"{quarantines} quarantines")
         line = "faults: " + ", ".join(fault_bits)
         if self.workers:
             line += f"  workers: {self.workers}"
-        if self.gauges:
-            tally: Dict[str, int] = {}
-            for status in self.gauges.values():
-                tally[status] = tally.get(status, 0) + 1
+        if self.fold.gauges:
+            tally = tally_gauges(self.fold.gauges.values())
             line += "  gauges: " + "/".join(
-                f"{count} {status}" for status, count in sorted(tally.items())
+                f"{count} {status}"
+                for status, count in sorted(tally.items())
+                if count
             )
         lines.append(line)
-        if self.running:
-            labels = [info["label"] for info in self.running.values()]
+        if running:
+            labels = list(dict.fromkeys(run["label"] for run in running))
             shown = ", ".join(labels[:4])
             more = f" (+{len(labels) - 4} more)" if len(labels) > 4 else ""
             lines.append(f"in flight: {shown}{more}")
-        if self.runners:
+        runners = self.fold.runners
+        if runners:
             lines.append("runner throughput:")
-            width = max(len(name) for name in self.runners)
-            for name in sorted(self.runners):
-                bucket = self.runners[name]
+            width = max(len(name) for name in runners)
+            for name in sorted(runners):
+                bucket = runners[name]
                 durations = bucket["durations"]
                 p50 = ""
                 if durations:
-                    ordered = sorted(durations)
-                    p50 = f"  p50 {ordered[len(ordered) // 2]:.3f}s"
+                    p50 = f"  p50 {percentile(durations, 50.0):.3f}s"
+                busy_s = sum(durations)
                 per_s = (
-                    f"{bucket['done'] / bucket['duration_s']:.2f}/s"
-                    if bucket["duration_s"] > 0
-                    else "—"
+                    f"{len(durations) / busy_s:.2f}/s" if busy_s > 0 else "—"
                 )
                 cached = (
                     f"  {bucket['cached']} cached" if bucket["cached"] else ""
@@ -426,7 +401,7 @@ class WatchView:
                     else ""
                 )
                 lines.append(
-                    f"  {name.ljust(width)}  {bucket['done']} done  "
+                    f"  {name.ljust(width)}  {len(durations)} done  "
                     f"{per_s}{p50}{cached}{retried}"
                 )
         if self.snapshot is not None:
@@ -579,7 +554,9 @@ def watch(
                 _draw(force=True)
             if event is not None:
                 view.feed(event)
-                if view.finished and finished_at is None:
+                if not view.finished:
+                    finished_at = None  # a later sweep started
+                elif finished_at is None:
                     finished_at = time.monotonic()
             if is_tty:
                 _draw()
@@ -595,7 +572,6 @@ def watch(
 
 
 __all__ = [
-    "TERMINAL_EVENTS",
     "WatchView",
     "follow_events",
     "follow_url",
