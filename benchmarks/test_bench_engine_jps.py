@@ -1,12 +1,15 @@
-"""End-to-end jobs-per-second: batch leases vs process-per-job dispatch.
+"""End-to-end jobs-per-second: batch leases vs one process per job.
 
-The dispatch-layer acceptance gate for the batch-lease executor
-(docs/performance.md "Dispatch & backends"). Two sweeps are timed
-through ``execute()`` at 4 workers under both dispatch modes:
+The dispatch-layer acceptance gate for the lease executor
+(docs/performance.md "Job dispatch throughput"). Two sweeps are timed
+at 4 workers, once through ``execute()`` with its default lease size
+and once through a reference defined here: one fresh process per job
+(``multiprocessing.Pool(WORKERS, maxtasksperchild=1)``, one job per
+task), at most ``WORKERS`` alive, each calling ``registry.call``.
 
 * ``test.sleep`` at 0s — pure dispatch overhead, the "kill per-job
   overhead" headline. Batch leases must deliver >=10x jobs/s over the
-  process-per-job path.
+  process-per-job reference.
 * ``fig2`` repetitions at small scale — a real artifact runner whose
   ~0.3 ms of compute rides along. On a multi-core box the workers
   overlap that compute and the >=10x gate applies; on a single-core
@@ -14,8 +17,9 @@ through ``execute()`` at 4 workers under both dispatch modes:
   achievable ratio near (per-job overhead / compute), so the floor
   drops to 4x there (the measured ratio is still recorded honestly).
 
-Bit-identity is asserted alongside throughput: serial, per-job, and
-batched dispatch must produce byte-identical JSON for the fig2 sweep.
+Bit-identity is asserted alongside throughput: serial, a lease of one,
+the default lease size and the per-job reference must produce
+byte-identical JSON for the fig2 sweep.
 
 Emits ``BENCH_engine_jps.json`` at the repo root and fails if either
 sweep's batch/per-job ratio regresses below half its checked-in
@@ -30,13 +34,14 @@ degrade for reasons that have nothing to do with dispatch).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pathlib
 import time
 
 from conftest import emit, emit_json
 
-from repro.engine import SweepSpec, execute
+from repro.engine import SweepSpec, execute, registry
 from repro.engine.shm import active_segments
 from repro.experiments.export import to_jsonable
 
@@ -60,14 +65,31 @@ def _sweep(runners, n, **kwargs) -> list:
     ).expand()
 
 
-def _jobs_per_sec(jobs, dispatch: str, repeats: int = 2) -> float:
-    """Best-of-``repeats`` throughput for one dispatch mode."""
+def _call(job: tuple):
+    runner, kwargs, seed, scale = job
+    return registry.call(runner, kwargs, seed=seed, scale=scale)
+
+
+def _per_job_reference(jobs) -> list:
+    """Every job's value, each computed in a process of its own."""
+    calls = [(j.runner, dict(j.kwargs), j.seed, j.scale) for j in jobs]
+    with multiprocessing.Pool(WORKERS, maxtasksperchild=1) as pool:
+        return pool.map(_call, calls, chunksize=1)
+
+
+def _batch(jobs) -> list:
+    result = execute(jobs, workers=WORKERS)
+    result.raise_if_failed()
+    return result.values()
+
+
+def _jobs_per_sec(jobs, run, repeats: int = 2) -> float:
+    """Best-of-``repeats`` throughput for one executor."""
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        result = execute(jobs, workers=WORKERS, dispatch=dispatch)
+        run(jobs)
         best = min(best, time.perf_counter() - start)
-        result.raise_if_failed()
     return len(jobs) / best
 
 
@@ -80,8 +102,8 @@ def _measure() -> dict:
     }
     results = {}
     for name, jobs in sweeps.items():
-        per_job = _jobs_per_sec(jobs, "per-job")
-        batch = _jobs_per_sec(jobs, "batch")
+        per_job = _jobs_per_sec(jobs, _per_job_reference)
+        batch = _jobs_per_sec(jobs, _batch)
         results[name] = {
             "n_jobs": len(jobs),
             "per_job_jps": round(per_job, 1),
@@ -94,19 +116,24 @@ def _measure() -> dict:
 def test_engine_jobs_per_second(benchmark):
     results = benchmark.pedantic(_measure, rounds=1, iterations=1)
 
-    # Dispatch must never change results: serial == per-job == batch,
-    # byte-for-byte, on the default (numpy64) backend.
+    # Dispatch must never change results: serial == lease of one ==
+    # default lease == per-job reference, byte-for-byte, on the default
+    # (numpy64) backend.
     identity_jobs = _sweep(["fig2"], IDENTITY_JOBS, scale=FIG2_SCALE)
     canon = {}
-    for mode, workers in (
-        ("serial", 1), ("per-job", WORKERS), ("batch", WORKERS),
+    for mode, workers, lease_size in (
+        ("serial", 1, None), ("lease-1", WORKERS, 1), ("batch", WORKERS, None),
     ):
-        result = execute(identity_jobs, workers=workers, dispatch=(
-            "auto" if workers == 1 else mode
-        ))
+        result = execute(identity_jobs, workers=workers, lease_size=lease_size)
         result.raise_if_failed()
         canon[mode] = json.dumps(to_jsonable(result.values()), sort_keys=True)
-    assert canon["serial"] == canon["per-job"] == canon["batch"]
+    canon["per-job"] = json.dumps(
+        to_jsonable(_per_job_reference(identity_jobs)), sort_keys=True
+    )
+    assert (
+        canon["serial"] == canon["lease-1"] == canon["batch"]
+        == canon["per-job"]
+    )
     # The batched runs must not leak shared-memory segments.
     assert active_segments() == ()
 

@@ -71,7 +71,7 @@ from repro.engine import (
     registry,
 )
 from repro.experiments.export import export_json, to_jsonable
-from repro.kernels.backend import BackendUnavailableError, UnknownBackendError
+from repro.kernels.backend import UnknownBackendError
 
 
 def _artifact_ids() -> List[str]:
@@ -127,8 +127,8 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
         "--backend",
         metavar="NAME",
         default=None,
-        help="compute backend for the kernels (numpy64, numpy32, numba "
-        "when available; default numpy64, or $REPRO_BACKEND). "
+        help="compute backend for the kernels (numpy64, numpy32; "
+        "default numpy64, or $REPRO_BACKEND). "
         "Non-default backends key the cache separately",
     )
     parser.add_argument("--json", metavar="PATH", help="write the result as JSON")
@@ -161,19 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="worker processes (1 = serial)"
     )
     sweep.add_argument(
-        "--dispatch",
-        choices=["auto", "batch", "per-job"],
-        default="auto",
-        help="parallel executor: 'batch' leases runs of jobs to "
-        "persistent warm workers (default when workers > 1), "
-        "'per-job' spawns one process per job",
-    )
-    sweep.add_argument(
         "--lease-size",
         type=int,
         default=None,
         metavar="N",
-        help="jobs per batch lease (default: ~4 leases per worker)",
+        help="jobs per lease (1 = per-job dispatch; default: ~4 "
+        "leases per worker)",
     )
     sweep.add_argument(
         "--timeout",
@@ -505,20 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes per sweep (1 = serial in the worker "
-        "thread; >1 fans out via batch leases)",
-    )
-    serve.add_argument(
-        "--dispatch",
-        choices=["auto", "batch", "per-job"],
-        default="auto",
-        help="parallel executor for multi-worker sweeps",
+        "thread, or one lease worker under a timeout; >1 fans out via "
+        "leases)",
     )
     serve.add_argument(
         "--lease-size",
         type=int,
         default=None,
         metavar="N",
-        help="jobs per batch lease (default: ~4 leases per worker)",
+        help="jobs per lease (1 = per-job dispatch; default: ~4 "
+        "leases per worker)",
     )
     serve.add_argument(
         "--backend",
@@ -585,7 +574,7 @@ def _cmd_run(args) -> int:
         result = execute(
             [spec], workers=args.workers, cache=cache, backend=args.backend
         )
-    except (UnknownBackendError, BackendUnavailableError) as exc:
+    except UnknownBackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outcome = result.outcomes[0]
@@ -755,11 +744,10 @@ def _cmd_sweep(args) -> int:
                 max_failures=args.max_failures,
                 trace=False if args.no_trace else None,
                 profile_dir=args.profile_dir,
-                dispatch=args.dispatch,
                 lease_size=args.lease_size,
                 backend=args.backend,
             )
-        except (UnknownBackendError, BackendUnavailableError) as exc:
+        except UnknownBackendError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         fleet_summary = None
@@ -846,7 +834,6 @@ def _archive_sweep(args, result, gauge_results, fleet_spec) -> None:
             result,
             label=label,
             gauges=gauge_results,
-            dispatch=args.dispatch,
             backend=args.backend,
         )
         run_id = RunArchive(archive_dir).append(record)
@@ -1017,7 +1004,6 @@ def _cmd_serve(args) -> int:
             replay_journal=not args.no_replay,
             trace=args.trace,
             job_workers=args.job_workers,
-            dispatch=args.dispatch,
             lease_size=args.lease_size,
             backend=args.backend,
         )

@@ -26,14 +26,7 @@ from repro.engine.errors import (
     UnknownRunnerError,
     WorkerCrashError,
 )
-from repro.engine.spec import (
-    BatchSpec,
-    JobSpec,
-    SweepSpec,
-    artifact_jobs,
-    fuse_jobs,
-    spawn_seeds,
-)
+from repro.engine.spec import JobSpec, SweepSpec, artifact_jobs, spawn_seeds
 from repro.engine.cache import (
     ResultCache,
     clear_code_version_memo,
@@ -51,7 +44,6 @@ from repro.engine.pool import (
 from repro.engine import registry
 
 __all__ = [
-    "BatchSpec",
     "EngineError",
     "JobFailure",
     "JobOutcome",
@@ -70,7 +62,6 @@ __all__ = [
     "default_code_version",
     "execute",
     "execute_one",
-    "fuse_jobs",
     "iter_values",
     "registry",
     "spawn_seeds",

@@ -1,36 +1,30 @@
-"""Fault-tolerant job execution: serial, or multiprocessing fan-out.
+"""Fault-tolerant job execution: in the calling thread, or leased out.
 
 :func:`execute` takes a list of :class:`JobSpec` (or a
 :class:`SweepSpec`) and runs every job to an outcome:
 
-* ``workers <= 1`` runs in-process through *the same* per-job code path
-  the workers use, so serial execution is the reference behaviour, not
-  a separate implementation.
-* ``workers > 1`` fans out over ``multiprocessing`` workers. The
-  default (``dispatch="auto"``) is the **batch-lease** executor:
-  persistent warm workers each receive leases of consecutive jobs and
-  stream one record back per job, amortising process spawn/teardown
-  across the lease and shipping large ndarrays through per-worker
+* ``workers <= 1`` runs in the calling thread through *the same*
+  per-job code path the workers use, so serial execution is the
+  reference behaviour, not a separate implementation.
+* ``workers > 1`` runs the one parallel executor: persistent warm
+  worker processes each receive leases of consecutive jobs and stream
+  one record back per job, amortising process spawn/teardown across
+  the lease and shipping large ndarrays through per-worker
   shared-memory rings (:mod:`repro.engine.shm`) instead of the pickle
-  pipe. ``dispatch="per-job"`` keeps the one-process-per-job executor.
-  Jobs cross the boundary as plain dict payloads (runner *name* +
-  kwargs + seed), and each worker resolves the body via
-  :mod:`repro.engine.registry`. Both executors are crash-tolerant: a
-  worker that dies mid-job (segfault, OOM kill, injected crash)
-  settles *that job* as a structured :class:`JobFailure` with
-  ``error_type == "WorkerCrashError"`` and the pool keeps draining the
-  queue instead of deadlocking on the lost result — under batch
-  dispatch the lease's unstarted remainder is re-leased to a
-  replacement worker.
-* Per-job wall-clock timeouts use ``SIGALRM`` (each worker runs jobs
-  on its main thread). Off the main thread — serial ``execute()``
-  inside a ``repro.serve`` worker thread — a fallback timer raises the
-  same :class:`JobTimeoutError` asynchronously in the job's thread; a
-  platform with neither mechanism warns and emits a
-  ``job_timeout_unenforced`` ledger event instead of silently
-  no-opping. The parent-side watchdog still reclaims workers whose
-  timeout was defeated (e.g. a hang inside C code) by killing them
-  after the job's whole attempt budget plus a grace period.
+  pipe; ``lease_size=1`` is per-job dispatch. Jobs cross the boundary
+  as plain dict payloads (runner *name* + kwargs + seed), and each
+  worker resolves the body via :mod:`repro.engine.registry`. A worker
+  that dies mid-job (segfault, OOM kill, injected crash) settles *that
+  job* as a structured :class:`JobFailure` with ``error_type ==
+  "WorkerCrashError"``, the lease's unstarted remainder is re-leased
+  to a replacement worker, and the sweep keeps draining.
+* Per-job wall-clock timeouts use ``SIGALRM``, which only a main
+  thread can arm. Lease workers run jobs on their main thread, and a
+  timed sweep called off the main thread (a ``repro.serve`` worker
+  thread) runs in one lease worker instead of the calling thread. The
+  parent-side watchdog reclaims workers whose timeout was defeated
+  (e.g. a hang inside C code) by killing them after the job's whole
+  attempt budget plus a grace period.
 * Transient failures (:data:`TRANSIENT_ERRORS`) are retried with
   exponential backoff up to ``retries`` extra attempts; permanent
   errors fail fast. Either way a failed job yields a structured
@@ -76,9 +70,9 @@ from repro.engine import shm as shm_mod
 from repro.engine.cache import ResultCache, default_code_version
 from repro.engine.errors import TRANSIENT_ERRORS, JobTimeoutError
 from repro.engine.progress import ProgressTracker
-from repro.engine.spec import JobSpec, SweepSpec, fuse_jobs
+from repro.engine.spec import JobSpec, SweepSpec
 from repro.experiments.export import from_jsonable, to_jsonable
-from repro.kernels.backend import use_backend, validate_backend
+from repro.kernels.backend import get_backend, use_backend
 from repro.obs.events import EventSink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, activate as trace_activate, span as trace_span
@@ -87,8 +81,8 @@ from repro.obs.trace import Tracer, activate as trace_activate, span as trace_sp
 #: before the parent watchdog declares the worker hung and kills it.
 _WATCHDOG_GRACE_S = 5.0
 
-#: Recognised ``execute(dispatch=...)`` modes.
-DISPATCH_MODES = ("auto", "batch", "per-job")
+#: How long a terminated lease worker may take to exit before SIGKILL.
+_TERMINATE_GRACE_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -203,121 +197,34 @@ class SweepResult:
 # Worker-side execution (also the serial code path).
 # ---------------------------------------------------------------------------
 
-class _ThreadTimeoutTimer:
-    """Best-effort timeout for jobs running off the main thread.
-
-    ``SIGALRM`` cannot be armed outside the main thread, which is
-    exactly where the serve thread-pool runs serial ``execute()``
-    calls. This fallback arms a daemon :class:`threading.Timer` that,
-    on expiry, raises :class:`JobTimeoutError` *asynchronously* in the
-    job's thread via ``PyThreadState_SetAsyncExc``. Like SIGALRM it is
-    delivered at a Python bytecode boundary, so a hang inside C code
-    still needs the parent watchdog — the documented contract doesn't
-    change, the budget just stops being silently unenforced in
-    threads. ``cancel()`` and the firing callback share a lock, so
-    once cancel returns no exception can be injected; a fire that wins
-    the race only happens when the budget genuinely elapsed, and the
-    attempt loop treats the late raise as the timeout it is.
-    """
-
-    def __init__(self, seconds: float, thread_ident: int) -> None:
-        self._seconds = float(seconds)
-        self._ident = int(thread_ident)
-        self._lock = threading.Lock()
-        self._cancelled = False
-        self._timer: Optional[threading.Timer] = None
-        self.fired = False
-
-    def start(self) -> bool:
-        """Arm the timer; False when async-raise is unavailable."""
-        try:
-            import ctypes
-
-            self._set_async_exc = ctypes.pythonapi.PyThreadState_SetAsyncExc
-            self._c_ulong = ctypes.c_ulong
-            self._py_object = ctypes.py_object
-        except (ImportError, AttributeError):
-            return False
-        self._timer = threading.Timer(self._seconds, self._fire)
-        self._timer.daemon = True
-        self._timer.start()
-        return True
-
-    def _fire(self) -> None:
-        with self._lock:
-            if self._cancelled:
-                return
-            self.fired = True
-            self._set_async_exc(
-                self._c_ulong(self._ident), self._py_object(JobTimeoutError)
-            )
-
-    def cancel(self) -> None:
-        with self._lock:
-            self._cancelled = True
-        if self._timer is not None:
-            self._timer.cancel()
-
-
 @contextmanager
-def _job_timeout(
-    seconds: Optional[float],
-    label: str,
-    notes: Optional[List[Dict[str, Any]]] = None,
-):
+def _job_timeout(seconds: Optional[float], label: str):
     """Raise :class:`JobTimeoutError` after ``seconds`` of wall-clock.
 
-    On Unix main threads the budget is enforced with ``SIGALRM``; off
-    the main thread (the serve thread-pool case) a
-    :class:`_ThreadTimeoutTimer` raises the same error asynchronously.
-    Only when neither mechanism is available does the budget go
-    unenforced — loudly: a ``RuntimeWarning`` plus a
-    ``job_timeout_unenforced`` note appended to ``notes`` (replayed
-    into the run ledger), never a silent no-op.
+    Armed with ``SIGALRM``, so only on a main thread. Off it,
+    :func:`execute` runs timed jobs in a lease worker instead; the one
+    exception is a daemonic lease worker, which cannot fork, and there
+    the enclosing job's budget and the parent watchdog bound the job.
     """
-    if seconds is None or seconds <= 0:
-        yield
-        return
     if (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
+        seconds is None
+        or seconds <= 0
+        or not hasattr(signal, "SIGALRM")
+        or threading.current_thread() is not threading.main_thread()
     ):
-
-        def _on_alarm(signum, frame):
-            raise JobTimeoutError(f"{label} exceeded {seconds:.3g}s timeout")
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, float(seconds))
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-        return
-    timer = _ThreadTimeoutTimer(seconds, threading.get_ident())
-    if not timer.start():
-        if notes is not None:
-            notes.append(
-                {
-                    "event": "job_timeout_unenforced",
-                    "timeout_s": seconds,
-                    "reason": "no SIGALRM off the main thread and no "
-                    "ctypes async-raise support",
-                }
-            )
-        warnings.warn(
-            f"timeout_s={seconds:.3g} for {label} cannot be enforced here "
-            "(off the main thread, no async-raise support); relying on "
-            "the parent watchdog if any",
-            RuntimeWarning,
-            stacklevel=3,
-        )
         yield
         return
+
+    def _on_alarm(signum, frame):
+        raise JobTimeoutError(f"{label} exceeded {seconds:.3g}s timeout")
+
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, float(seconds))
     try:
         yield
     finally:
-        timer.cancel()
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _payload_from(
@@ -373,8 +280,8 @@ def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     A ``"backend"`` entry activates that compute backend (see
     :mod:`repro.kernels.backend`) for the job's full attempt loop —
-    here, not at dispatch, so serial, per-job, and batch-lease
-    execution all resolve the backend through the identical code path.
+    here, not at dispatch, so in-thread and leased execution resolve
+    the backend through the identical code path.
     """
     backend_name = payload.get("backend")
     if backend_name is not None:
@@ -433,9 +340,9 @@ def _run_attempts(payload: Dict[str, Any]) -> Dict[str, Any]:
     while attempts <= retries:
         attempts += 1
         try:
-            with _job_timeout(
-                payload["timeout_s"], label, notes=sub_events
-            ), trace_span("attempt", n=attempts):
+            with _job_timeout(payload["timeout_s"], label), trace_span(
+                "attempt", n=attempts
+            ):
                 if fault_plan is not None:
                     from repro.faults.inject import apply_worker_faults
 
@@ -483,21 +390,12 @@ def _run_attempts(payload: Dict[str, Any]) -> Dict[str, Any]:
             last_error = exc
             last_traceback = traceback.format_exc()
             if isinstance(exc, JobTimeoutError):
-                # An async-raised timeout (thread fallback) carries no
-                # message; normalise so ledgers always say what tripped.
-                message = str(exc) or (
-                    f"{label} exceeded {payload['timeout_s']:.3g}s timeout "
-                    "(thread fallback timer)"
-                )
-                # The failure record stringifies last_error, so the
-                # normalised message has to live on the exception too.
-                last_error = JobTimeoutError(message)
                 sub_events.append(
                     {
                         "event": "job_timeout",
                         "attempt": attempts,
                         "timeout_s": payload["timeout_s"],
-                        "error": message,
+                        "error": str(exc),
                     }
                 )
             if attempts <= retries:
@@ -563,32 +461,30 @@ def _outcome_from_record(spec: JobSpec, record: Dict[str, Any]) -> JobOutcome:
     )
 
 
-def _effective_workers(workers: int, n_jobs: int) -> int:
+def _lease_workers(
+    workers: int, n_jobs: int, timeout_s: Optional[float]
+) -> int:
+    """How many lease workers run ``n_jobs``; 0 runs them in-thread.
+
+    ``SIGALRM`` fires only on a main thread, so a timed sweep called
+    from any other thread takes one lease worker even at
+    ``workers=1``. A daemonic worker (we are already inside a pool)
+    cannot fork children, so it runs everything in-thread.
+    """
+    if n_jobs == 0 or multiprocessing.current_process().daemon:
+        return 0
     workers = min(int(workers), n_jobs)
-    if workers <= 1:
+    if workers > 1:
+        return workers
+    timed = timeout_s is not None and timeout_s > 0
+    if timed and threading.current_thread() is not threading.main_thread():
         return 1
-    # A daemonic worker (we are already inside a pool) cannot fork
-    # children; degrade to the serial executor instead of crashing.
-    if multiprocessing.current_process().daemon:
-        return 1
-    return workers
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # Parent-side orchestration.
 # ---------------------------------------------------------------------------
-
-def _child_main(payload: Dict[str, Any], conn) -> None:
-    """Worker entry point: run the job, ship the record, exit.
-
-    A crash anywhere in here (or an injected ``os._exit``) closes the
-    pipe without a record — the parent's signal that the worker died.
-    """
-    try:
-        conn.send(_execute_payload(payload))
-    finally:
-        conn.close()
-
 
 def _crash_detail(exitcode: Optional[int]) -> str:
     if exitcode is None:
@@ -618,109 +514,6 @@ def _crash_record(
     }
 
 
-def _run_crash_tolerant(
-    pending: Sequence[JobSpec],
-    payloads: Sequence[Dict[str, Any]],
-    n_workers: int,
-    *,
-    watchdog_s: Optional[float],
-    launch: Callable[[JobSpec], None],
-    settle: Callable[[JobSpec, Dict[str, Any]], None],
-    should_stop: Callable[[], bool],
-) -> List[JobSpec]:
-    """Fan ``payloads`` out over per-job worker processes.
-
-    One process per job (respawning is just launching the next job's
-    process) with the parent multiplexing result pipes through
-    ``multiprocessing.connection.wait``. A worker that exits without
-    sending its record — crash, kill, injected ``os._exit`` — settles
-    as a ``WorkerCrashError`` failure instead of deadlocking the sweep,
-    which is what ``Pool.imap_unordered`` did on a lost result. With
-    ``watchdog_s`` set, workers alive past their whole attempt budget
-    are killed and settled the same way.
-
-    Returns the specs never launched because ``should_stop`` tripped.
-    """
-    from multiprocessing import connection as mp_connection
-
-    ctx = multiprocessing.get_context()
-    queue = deque(zip(pending, payloads))
-    live: Dict[Any, Any] = {}  # conn -> (spec, payload, proc, started)
-    skipped: List[JobSpec] = []
-    try:
-        while queue or live:
-            if queue and should_stop():
-                skipped.extend(spec for spec, _ in queue)
-                queue.clear()
-            while queue and len(live) < n_workers:
-                spec, payload = queue.popleft()
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_child_main, args=(payload, child_conn), daemon=True
-                )
-                launch(spec)
-                proc.start()
-                child_conn.close()
-                live[parent_conn] = (spec, payload, proc, time.monotonic())
-            if not live:
-                break
-            wait_timeout = None
-            if watchdog_s is not None:
-                now = time.monotonic()
-                wait_timeout = max(
-                    0.0,
-                    min(
-                        started + watchdog_s - now
-                        for (_, _, _, started) in live.values()
-                    ),
-                )
-            for conn in mp_connection.wait(list(live), timeout=wait_timeout):
-                spec, payload, proc, started = live.pop(conn)
-                elapsed = time.monotonic() - started
-                try:
-                    record = conn.recv()
-                except (EOFError, OSError):
-                    record = None
-                conn.close()
-                proc.join()
-                if record is None:
-                    record = _crash_record(payload, proc.exitcode, elapsed)
-                settle(spec, record)
-            if watchdog_s is not None:
-                now = time.monotonic()
-                for conn in [
-                    c
-                    for c, (_, _, _, started) in live.items()
-                    if now - started >= watchdog_s
-                ]:
-                    spec, payload, proc, started = live.pop(conn)
-                    proc.terminate()
-                    proc.join()
-                    conn.close()
-                    settle(
-                        spec,
-                        _crash_record(
-                            payload,
-                            proc.exitcode,
-                            time.monotonic() - started,
-                            reason=(
-                                f"worker unresponsive after {watchdog_s:.3g}s "
-                                "(timeout budget + grace); killed by watchdog"
-                            ),
-                        ),
-                    )
-    except BaseException:
-        # Abort (KeyboardInterrupt, sink write error, ...): reap every
-        # live worker so the sweep never leaves orphans behind.
-        for _, _, proc, _ in live.values():
-            if proc.is_alive():
-                proc.terminate()
-        for _, _, proc, _ in live.values():
-            proc.join()
-        raise
-    return skipped
-
-
 # ---------------------------------------------------------------------------
 # Batch-lease execution: persistent warm workers, streamed records.
 # ---------------------------------------------------------------------------
@@ -732,7 +525,7 @@ def _lease_worker_main(
 
     Each iteration receives a list of job payloads (one lease), runs
     them in order through the *same* :func:`_execute_payload` the
-    per-job executor uses, and sends each record back as it completes
+    in-thread path uses, and sends each record back as it completes
     — so the parent can settle job ``i`` while job ``i+1`` computes.
     ``None`` is the shutdown sentinel; a closed pipe means the parent
     is gone and the worker just exits.
@@ -742,8 +535,18 @@ def _lease_worker_main(
     kwargs arriving with shm descriptors are rebuilt from
     ``in_ring_name``'s. A crash anywhere in here closes the pipe
     without a record for the in-flight job — the parent's crash
-    signal, exactly as in per-job mode.
+    signal.
+
+    Fork copies the parent's signal state. Under an asyncio loop
+    (``repro serve``) that is a no-op SIGTERM handler, which would let
+    the worker shrug off the watchdog, and a wakeup fd into the
+    parent loop's self-pipe. So SIGTERM is reset to its default,
+    SIGINT is ignored (Ctrl-C is the parent's to handle) and the
+    wakeup fd is dropped.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.set_wakeup_fd(-1)
     out_ring = (
         shm_mod.ShmRing.attach(out_ring_name) if out_ring_name else None
     )
@@ -872,9 +675,16 @@ class _LeaseWorker:
             pass
 
     def destroy(self) -> None:
-        """Reap the process and free every owned resource; idempotent."""
+        """Reap the process and free every owned resource; idempotent.
+
+        A worker that outlives SIGTERM (a runner may trap it) is
+        killed, so the join below always returns.
+        """
         if self.proc.is_alive():
             self.proc.terminate()
+            self.proc.join(timeout=_TERMINATE_GRACE_S)
+            if self.proc.is_alive():
+                self.proc.kill()
         self.proc.join()
         try:
             self.conn.close()
@@ -911,10 +721,9 @@ def _run_batch_leases(
 ) -> List[JobSpec]:
     """Fan ``payloads`` out as leases over persistent warm workers.
 
-    The 10x-jobs/s path: instead of one process per job, each worker
-    is spawned once and fed leases of ``lease_size`` consecutive jobs,
-    streaming one record back per job. Every per-job guarantee is
-    preserved:
+    Each worker is spawned once and fed leases of ``lease_size``
+    consecutive jobs, streaming one record back per job. Every per-job
+    guarantee holds at any lease size:
 
     * a worker that dies mid-lease fails *only* its in-flight job
       (``WorkerCrashError``); records already in the pipe settle
@@ -926,9 +735,8 @@ def _run_batch_leases(
     * ``job_start`` is emitted when a job actually reaches a worker
       (lease dispatch for the first member, previous settle for the
       rest), keeping the ledger's start/end pairing exact;
-    * ``should_stop`` drains undispached leases to "skipped";
-      already-dispatched leases run to completion (same as in-flight
-      jobs in per-job mode).
+    * ``should_stop`` drains undispatched leases to "skipped";
+      already-dispatched leases run to completion.
 
     Returns the specs never dispatched because ``should_stop`` tripped.
     """
@@ -1056,7 +864,6 @@ def _run_summary_fields(
     registry_: MetricsRegistry,
     elapsed_s: float,
     n_workers: int,
-    dispatch: str,
     backend: Optional[str],
     code_version: Optional[str],
 ) -> Dict[str, Any]:
@@ -1087,7 +894,6 @@ def _run_summary_fields(
         "cache_hit_rate": (counts["cached"] / total) if total else 0.0,
         "elapsed_s": round(elapsed_s, 6),
         "workers": int(n_workers),
-        "dispatch": dispatch,
         "backend": backend,
         "code_version": code_version,
         "runners": runners,
@@ -1125,7 +931,6 @@ def execute(
     max_failures: Optional[int] = None,
     trace: Optional[bool] = None,
     profile_dir: Optional[Any] = None,
-    dispatch: str = "auto",
     lease_size: Optional[int] = None,
     shm_bytes: Optional[int] = None,
     backend: Optional[str] = None,
@@ -1171,28 +976,21 @@ def execute(
     wraps only the runner call) and records ``profile_path`` on the
     ``job_end`` event.
 
-    ``dispatch`` selects the parallel executor: ``"batch"`` leases
-    runs of ``lease_size`` consecutive jobs to persistent warm workers
-    (:func:`_run_batch_leases`, the fast path — process spawn cost is
-    amortised over the lease); ``"per-job"`` keeps one process per job
-    (:func:`_run_crash_tolerant`); ``"auto"`` (default) uses batch
-    whenever ``workers > 1``. ``lease_size=None`` picks ~4 leases per
-    worker. ``shm_bytes`` sizes the per-worker shared-memory rings
-    that carry large ndarrays zero-copy (``0`` disables, ``None`` =
-    8 MiB default). All three are pure transport knobs: outcomes are
-    bit-identical across every combination.
+    ``workers > 1`` leases runs of ``lease_size`` consecutive jobs to
+    persistent warm workers (:func:`_run_batch_leases`; process spawn
+    cost is amortised over the lease). ``lease_size=1`` is per-job
+    dispatch; ``None`` picks ~4 leases per worker. ``shm_bytes`` sizes
+    the per-worker shared-memory rings that carry large ndarrays
+    zero-copy (``0`` disables, ``None`` = 8 MiB default). Both are pure
+    transport knobs: outcomes are bit-identical across every
+    combination, and to ``workers=1``. A ``timeout_s`` sweep called off
+    the main thread runs in one lease worker (see :func:`_lease_workers`).
 
     ``backend`` stamps a compute backend (see
     :mod:`repro.kernels.backend`) on every job that doesn't already
-    carry one; unknown or unavailable backends fail fast here, before
-    any work is dispatched. Non-default backends participate in cache
-    keys.
+    carry one; unknown backends fail fast here, before any work is
+    dispatched. Non-default backends participate in cache keys.
     """
-    if dispatch not in DISPATCH_MODES:
-        raise ValueError(
-            f"unknown dispatch mode {dispatch!r}; expected one of "
-            f"{', '.join(DISPATCH_MODES)}"
-        )
     if lease_size is not None and int(lease_size) < 1:
         raise ValueError("lease_size must be >= 1")
     if isinstance(jobs, SweepSpec):
@@ -1209,10 +1007,10 @@ def execute(
             spec if spec.backend is not None else spec.replace(backend=backend)
             for spec in specs
         ]
-    # Fail fast on unknown/unavailable backends — before cache lookups
-    # and worker spawns, so a typo'd --backend dies in milliseconds.
+    # Fail fast on unknown backends — before cache lookups and worker
+    # spawns, so a typo'd --backend dies in milliseconds.
     for name in sorted({s.backend for s in specs if s.backend is not None}):
-        validate_backend(name)
+        get_backend(name)
     started = time.monotonic()
     registry_ = metrics if metrics is not None else MetricsRegistry()
     trace_on = (events is not None) if trace is None else bool(trace)
@@ -1311,7 +1109,6 @@ def execute(
                 counter_name = {
                     "job_retry": "retries",
                     "job_timeout": "timeouts",
-                    "job_timeout_unenforced": "timeouts_unenforced",
                 }.get(kind, kind)
                 registry_.counter(counter_name).inc()
                 if events is not None:
@@ -1401,9 +1198,9 @@ def execute(
             )
             for spec in pending
         ]
-        n_workers = _effective_workers(workers, len(pending))
+        n_lease = _lease_workers(workers, len(pending), timeout_s)
         skipped: List[JobSpec] = []
-        if n_workers <= 1:
+        if not n_lease:
             for spec, payload in zip(pending, payloads):
                 if _should_stop():
                     skipped.append(spec)
@@ -1413,38 +1210,26 @@ def execute(
         else:
             for payload in payloads:
                 payload["in_worker"] = True
-            watchdog_s = _watchdog_budget_s(timeout_s, retries, backoff_s)
-            if dispatch == "per-job":
-                skipped = _run_crash_tolerant(
-                    pending,
-                    payloads,
-                    n_workers,
-                    watchdog_s=watchdog_s,
-                    launch=_emit_job_start,
-                    settle=_settle,
-                    should_stop=_should_stop,
-                )
-            else:
-                effective_lease = (
+            skipped = _run_batch_leases(
+                pending,
+                payloads,
+                n_lease,
+                lease_size=(
                     int(lease_size)
                     if lease_size is not None
-                    else _auto_lease_size(len(pending), n_workers)
-                )
-                skipped = _run_batch_leases(
-                    pending,
-                    payloads,
-                    n_workers,
-                    lease_size=effective_lease,
-                    watchdog_s=watchdog_s,
-                    launch=_emit_job_start,
-                    settle=_settle,
-                    should_stop=_should_stop,
-                    shm_bytes=(
-                        shm_mod.DEFAULT_RING_BYTES
-                        if shm_bytes is None
-                        else max(0, int(shm_bytes))
-                    ),
-                )
+                    else _auto_lease_size(len(pending), n_lease)
+                ),
+                watchdog_s=_watchdog_budget_s(timeout_s, retries, backoff_s),
+                launch=_emit_job_start,
+                settle=_settle,
+                should_stop=_should_stop,
+                shm_bytes=(
+                    shm_mod.DEFAULT_RING_BYTES
+                    if shm_bytes is None
+                    else max(0, int(shm_bytes))
+                ),
+            )
+        n_workers = max(1, n_lease)
 
         for spec in skipped:
             outcome = JobOutcome(spec=spec, status="skipped")
@@ -1476,8 +1261,7 @@ def execute(
             # progress marker.
             events.emit(
                 "run_summary", **_run_summary_fields(
-                    final, registry_, elapsed, n_workers, dispatch,
-                    backend, version,
+                    final, registry_, elapsed, n_workers, backend, version
                 )
             )
         if progress is not None:

@@ -177,52 +177,3 @@ class SweepSpec:
                 )
             )
         return jobs
-
-
-@dataclass(frozen=True)
-class BatchSpec:
-    """One worker *lease*: consecutive jobs dispatched as a unit.
-
-    The batch executor hands a whole lease to one persistent worker,
-    which streams one result record per job back — amortising the
-    process-dispatch cost over ``size`` jobs. A lease is a grouping,
-    not a semantic unit: each member job keeps its own seed, cache
-    key, failure record, and ledger events, and a job that crashes its
-    worker fails alone (the lease's unstarted remainder is re-leased
-    to another worker).
-    """
-
-    jobs: Sequence[JobSpec]
-
-    def __post_init__(self) -> None:
-        if not self.jobs:
-            raise ValueError("a lease must contain at least one job")
-
-    @property
-    def size(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def display(self) -> str:
-        first, last = self.jobs[0], self.jobs[-1]
-        if first is last:
-            return f"lease[{first.display}]"
-        return f"lease[{first.display}..{last.display}]"
-
-
-def fuse_jobs(
-    jobs: Sequence[JobSpec], lease_size: int
-) -> List[BatchSpec]:
-    """Chunk an ordered job list into :class:`BatchSpec` leases.
-
-    Jobs stay in index order and every job lands in exactly one lease;
-    the final lease may be short. ``lease_size=1`` degenerates to
-    per-job dispatch (useful for differential testing).
-    """
-    lease_size = int(lease_size)
-    if lease_size < 1:
-        raise ValueError("lease_size must be >= 1")
-    return [
-        BatchSpec(jobs=tuple(jobs[start : start + lease_size]))
-        for start in range(0, len(jobs), lease_size)
-    ]

@@ -12,14 +12,12 @@ baseline. The determinism contract for every kernel is documented in
 from repro.kernels.backend import (
     DEFAULT_BACKEND,
     Backend,
-    BackendUnavailableError,
     UnknownBackendError,
     active_backend,
     available_backends,
     get_backend,
     register_backend,
     use_backend,
-    validate_backend,
 )
 from repro.kernels.scan import ar1_scan, leaky_ramp_scan, markov_binary_scan
 from repro.kernels.sampling import sample_series
@@ -27,7 +25,6 @@ from repro.kernels.sampling import sample_series
 __all__ = [
     "DEFAULT_BACKEND",
     "Backend",
-    "BackendUnavailableError",
     "UnknownBackendError",
     "active_backend",
     "ar1_scan",
@@ -38,5 +35,4 @@ __all__ = [
     "register_backend",
     "sample_series",
     "use_backend",
-    "validate_backend",
 ]

@@ -1,8 +1,8 @@
 """Pluggable compute backends for the simulation kernels.
 
 A *backend* fixes the numeric substrate the kernels run on: the dtype
-every array-at-a-time kernel allocates and accumulates in, and (for
-compiled backends) the implementation dispatched to. Three ship here:
+every array-at-a-time kernel allocates and accumulates in. Two ship
+here:
 
 * ``numpy64`` — float64 NumPy, the default. This is the reference
   backend: it is what every golden pin, cache entry, and bit-identical
@@ -12,14 +12,6 @@ compiled backends) the implementation dispatched to. Three ship here:
   series kernels; results are tolerance-matched (~1e-4 relative)
   against ``numpy64``, never bit-identical, so cache keys incorporate
   the backend id (see :meth:`repro.engine.cache.ResultCache.key_for`).
-* ``numba`` — an optional JIT-compiled sequential scan. Registered
-  unconditionally but *gated*: selecting it where numba is not
-  importable raises :class:`BackendUnavailableError` with the reason
-  (this repository's environments do not bundle numba — the backend
-  exists so deployments that have it can opt in without code changes).
-  Its sequential recurrence associates floating-point differently from
-  the blocked closed form, so like ``numpy32`` it is
-  tolerance-matched, not exact.
 
 Selection is scoped, not global mutable state: the engine activates a
 backend around each job via :func:`use_backend` (thread-local, so the
@@ -37,7 +29,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 import numpy as np
 
@@ -53,35 +45,19 @@ class UnknownBackendError(ValueError):
     """A backend name nothing registered under."""
 
 
-class BackendUnavailableError(RuntimeError):
-    """A registered backend whose runtime requirements are missing."""
-
-
 @dataclass(frozen=True)
 class Backend:
     """One registered compute backend.
 
-    ``probe`` (when given) returns a human-readable reason the backend
-    cannot run here, or ``None`` when it can — evaluated at selection
-    time, never at registration, so merely listing backends stays
-    dependency-free. ``exact`` records the contract the equivalence
-    tests enforce: exact backends are bit-identical to ``numpy64``,
-    the rest are tolerance-matched.
+    ``exact`` records the contract the equivalence tests enforce:
+    exact backends are bit-identical to ``numpy64``, the rest are
+    tolerance-matched.
     """
 
     name: str
     dtype: Any
     exact: bool
     description: str = ""
-    impl: str = "numpy"
-    probe: Optional[Callable[[], Optional[str]]] = None
-
-    def unavailable_reason(self) -> Optional[str]:
-        return self.probe() if self.probe is not None else None
-
-    @property
-    def available(self) -> bool:
-        return self.unavailable_reason() is None
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -95,7 +71,7 @@ def register_backend(backend: Backend, overwrite: bool = False) -> None:
 
 
 def available_backends() -> List[str]:
-    """Every registered backend name, sorted (gated ones included)."""
+    """Every registered backend name, sorted."""
     return sorted(_REGISTRY)
 
 
@@ -109,17 +85,6 @@ def get_backend(name: str) -> Backend:
         ) from None
 
 
-def validate_backend(name: str) -> Backend:
-    """Name → :class:`Backend`, raising if unknown or gated off."""
-    backend = get_backend(name)
-    reason = backend.unavailable_reason()
-    if reason is not None:
-        raise BackendUnavailableError(
-            f"backend {name!r} is not available here: {reason}"
-        )
-    return backend
-
-
 def default_backend_name() -> str:
     """The process default: ``REPRO_BACKEND`` or ``numpy64``."""
     return os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
@@ -128,14 +93,13 @@ def default_backend_name() -> str:
 def active_backend() -> Backend:
     """The backend in effect on *this thread* right now.
 
-    An unknown/unavailable name in ``REPRO_BACKEND`` raises on first
-    kernel use — loudly, rather than silently computing on the wrong
-    substrate.
+    An unknown name in ``REPRO_BACKEND`` raises on first kernel use —
+    loudly, rather than silently computing on the wrong substrate.
     """
     stack = getattr(_local, "stack", None)
     if stack:
         return stack[-1]
-    return validate_backend(default_backend_name())
+    return get_backend(default_backend_name())
 
 
 def active_dtype() -> Any:
@@ -146,7 +110,7 @@ def active_dtype() -> Any:
 @contextmanager
 def use_backend(name: str) -> Iterator[Backend]:
     """Activate a backend for the current thread's dynamic extent."""
-    backend = validate_backend(name)
+    backend = get_backend(name)
     stack = getattr(_local, "stack", None)
     if stack is None:
         stack = _local.stack = []
@@ -160,40 +124,6 @@ def use_backend(name: str) -> Iterator[Backend]:
 # ---------------------------------------------------------------------------
 # Built-in backends.
 # ---------------------------------------------------------------------------
-
-def _numba_probe() -> Optional[str]:
-    try:
-        import numba  # noqa: F401
-    except ImportError as exc:
-        return f"numba is not importable ({exc})"
-    return None
-
-
-_NUMBA_AR1: Optional[Callable] = None
-
-
-def numba_ar1_scan(coeff: float, x: np.ndarray, init: float) -> np.ndarray:
-    """The numba backend's AR(1) body: a JIT-compiled sequential loop.
-
-    Compiled once per process on first use; :func:`validate_backend`
-    has already guaranteed numba imports before this can run.
-    """
-    global _NUMBA_AR1
-    if _NUMBA_AR1 is None:
-        from numba import njit
-
-        @njit(cache=False)
-        def _scan(coeff: float, x: np.ndarray, init: float) -> np.ndarray:
-            out = np.empty(x.shape[0])
-            carry = init
-            for i in range(x.shape[0]):
-                carry = coeff * carry + x[i]
-                out[i] = carry
-            return out
-
-        _NUMBA_AR1 = _scan
-    return _NUMBA_AR1(float(coeff), x, float(init))
-
 
 register_backend(
     Backend(
@@ -210,16 +140,5 @@ register_backend(
         exact=False,
         description="float32 NumPy (half the memory traffic; ~1e-4 rel "
         "tolerance vs numpy64)",
-    )
-)
-register_backend(
-    Backend(
-        name="numba",
-        dtype=np.float64,
-        exact=False,
-        description="JIT-compiled sequential scans (optional; gated on "
-        "numba being installed)",
-        impl="numba",
-        probe=_numba_probe,
     )
 )

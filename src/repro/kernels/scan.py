@@ -71,29 +71,9 @@ def ar1_scan(coeff: float, x: np.ndarray, init: Any = 0.0) -> np.ndarray:
     The allocation/accumulation dtype follows the active compute
     backend (:mod:`repro.kernels.backend`); under ``numpy64`` (the
     default) this is bit-identical to the historical float64 path,
-    while ``numpy32`` trades precision for memory traffic and the
-    optional ``numba`` backend dispatches to the JIT-compiled
-    sequential loop instead of the blocked closed form (per row for
-    batched inputs).
+    while ``numpy32`` trades precision for memory traffic.
     """
-    backend = _backend.active_backend()
-    if backend.impl == "numba":
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim == 0:
-            raise ValueError("x must have at least one dimension")
-        if abs(coeff) > 1.0:
-            raise ValueError("|coeff| must be <= 1 for a stable scan")
-        if x.ndim == 1:
-            return _backend.numba_ar1_scan(float(coeff), x, float(init))
-        inits = _init_rows(init, x.shape[:-1], np.float64).reshape(-1)
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.empty_like(flat)
-        for row in range(flat.shape[0]):
-            out[row] = _backend.numba_ar1_scan(
-                float(coeff), flat[row], float(inits[row])
-            )
-        return out.reshape(x.shape)
-    dtype = backend.dtype
+    dtype = _backend.active_dtype()
     x = np.asarray(x, dtype=dtype)
     if x.ndim == 0:
         raise ValueError("x must have at least one dimension")

@@ -4,8 +4,7 @@ The scenario engine narrates a sweep as a flat sequence of typed
 events (:data:`EVENT_TYPES`): one ``sweep_start``/``sweep_end`` pair
 per :func:`repro.engine.pool.execute` call, ``job_start``/``job_end``
 per executed job (with ``job_retry``/``job_timeout`` in between when
-attempts fail, ``job_timeout_unenforced`` when a budget exists but no
-enforcement mechanism does, and ``job_skipped`` for jobs shed past
+attempts fail, and ``job_skipped`` for jobs shed past
 ``max_failures``), and ``cache_hit``/``cache_put``/
 ``cache_quarantine``/``cache_put_error``/``cache_evict`` from the
 result cache. The ``repro.serve`` job server appends its own
@@ -46,7 +45,6 @@ EVENT_TYPES = frozenset(
         "job_start",
         "job_retry",
         "job_timeout",
-        "job_timeout_unenforced",
         "job_end",
         "job_skipped",
         "cache_hit",

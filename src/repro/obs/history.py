@@ -148,7 +148,6 @@ def record_from_result(
     label: str,
     kind: str = "sweep",
     gauges: Optional[Sequence[Any]] = None,
-    dispatch: Optional[str] = None,
     backend: Optional[str] = None,
     extra: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -193,7 +192,6 @@ def record_from_result(
         "label": label,
         "code_version": getattr(result, "code_version", None),
         "workers": int(getattr(result, "workers", 1)),
-        "dispatch": dispatch,
         "backend": backend,
         "overall": {
             "jobs": len(result.outcomes),
@@ -277,7 +275,6 @@ def record_from_ledger(
         "label": label,
         "code_version": meta.get("code_version"),
         "workers": int(meta.get("workers", 0)) or None,
-        "dispatch": meta.get("dispatch"),
         "backend": meta.get("backend"),
         "stats_schema": aggregate.get("schema", STATS_SCHEMA),
         "overall": {

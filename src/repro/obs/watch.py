@@ -262,6 +262,8 @@ class WatchView:
         self.snapshot: Optional[Dict[str, Any]] = None
         self.serve_counts: Dict[str, int] = {}
         self._closes = {"run_summary": 0, "sweep_end": 0}
+        self._abandoned = 0
+        self._seq: Optional[int] = None
 
     ok = property(lambda self: self.fold.counts["ok"])
     cached = property(lambda self: self.fold.counts["cached"])
@@ -275,6 +277,15 @@ class WatchView:
 
     # -- ingestion -------------------------------------------------------
     def feed(self, event: Mapping[str, Any]) -> None:
+        seq = event.get("seq")
+        if isinstance(seq, int):
+            if self._seq is not None and seq <= self._seq:
+                # A new EventLog appends (seq restarted): the sweeps the
+                # old writer left open will never close.
+                self._abandoned = self.fold.counts["sweeps"] - max(
+                    self._closes.values()
+                )
+            self._seq = seq
         self.fold.feed(event)
         kind = str(event.get("event", "?"))
         t = event.get("t")
@@ -307,10 +318,13 @@ class WatchView:
         not over while a later sweep still runs. A sweep closes with a
         ``run_summary`` and then a ``sweep_end`` (older ledgers: the
         ``sweep_end`` alone), so the larger count is the closed sweeps.
+        Sweeps still open when a new writer appeared were torn off and
+        count as closed too.
         """
         if self.serve_counts.get("serve_stop"):
             return True
-        return 0 < max(self._closes.values()) >= self.fold.counts["sweeps"]
+        closed = max(self._closes.values())
+        return 0 < closed >= self.fold.counts["sweeps"] - self._abandoned
 
     @property
     def elapsed_s(self) -> float:
@@ -432,11 +446,10 @@ class WatchView:
             summary = self.run_summary
             lines.append(
                 "run summary: {jobs} jobs in {elapsed:.2f}s "
-                "(workers {workers}, dispatch {dispatch})".format(
+                "(workers {workers})".format(
                     jobs=summary.get("jobs", "?"),
                     elapsed=float(summary.get("elapsed_s", 0.0) or 0.0),
                     workers=summary.get("workers", "?"),
-                    dispatch=summary.get("dispatch", "?"),
                 )
             )
         return "\n".join(lines)

@@ -38,11 +38,12 @@ class ServeConfig:
     thread each); ``queue_limit`` bounds admitted-but-not-started jobs
     per tenant (excess submissions are rejected with 429, the
     backpressure signal); ``job_workers`` is forwarded to ``execute()``
-    per sweep (1 = serial in the worker thread, >1 fans out worker
-    processes). ``dispatch``/``lease_size`` pick the parallel executor
-    for those fan-outs (batch leases by default — see
-    ``docs/performance.md``) and ``backend`` sets a server-wide default
-    compute backend (a submission's own ``"backend"`` field wins).
+    per sweep (1 = serial in the worker thread, >1 fans out lease
+    workers; a sweep with a timeout runs in one lease worker even at
+    1, since only a main thread can arm its ``SIGALRM``).
+    ``lease_size`` sizes those leases (see ``docs/performance.md``)
+    and ``backend`` sets a server-wide default compute backend (a
+    submission's own ``"backend"`` field wins).
     """
 
     data_dir: PathLike = ".repro-serve"
@@ -59,7 +60,6 @@ class ServeConfig:
     replay_journal: bool = True
     drain_grace_s: float = 30.0
     trace: bool = False
-    dispatch: str = "auto"
     lease_size: Optional[int] = None
     backend: Optional[str] = None
 
@@ -70,10 +70,6 @@ class ServeConfig:
             raise ValueError("queue_limit must be >= 1")
         if self.cache_max_bytes < 0 or self.artifacts_max_bytes < 0:
             raise ValueError("byte budgets must be >= 0")
-        if self.dispatch not in ("auto", "batch", "per-job"):
-            raise ValueError(
-                "dispatch must be 'auto', 'batch', or 'per-job'"
-            )
         if self.lease_size is not None and self.lease_size < 1:
             raise ValueError("lease_size must be >= 1")
 

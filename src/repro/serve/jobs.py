@@ -104,15 +104,11 @@ class JobRequest:
         if backend is not None:
             if not isinstance(backend, str) or not backend:
                 raise BadRequest("'backend' must be a non-empty string")
-            from repro.kernels.backend import (
-                BackendUnavailableError,
-                UnknownBackendError,
-                validate_backend,
-            )
+            from repro.kernels.backend import UnknownBackendError, get_backend
 
             try:
-                validate_backend(backend)
-            except (UnknownBackendError, BackendUnavailableError) as exc:
+                get_backend(backend)
+            except UnknownBackendError as exc:
                 raise BadRequest(str(exc)) from None
         unknown_keys = set(payload) - {
             "artifacts", "seed", "scale", "workers", "timeout_s",

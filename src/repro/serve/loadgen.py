@@ -18,16 +18,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.obs.metrics import percentile
 from repro.serve.client import ServeAPIError, ServeClient
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1)))
-    )
-    return sorted_values[index]
 
 
 def run_load(
@@ -131,7 +123,6 @@ def run_load(
     ]
     duplicated = len(job_ids) - len(set(job_ids))
 
-    latencies.sort()
     return {
         "submissions": submissions,
         "completed": len(job_ids),
@@ -139,9 +130,9 @@ def run_load(
         "throughput_jobs_per_s": round(
             len(job_ids) / elapsed if elapsed > 0 else 0.0, 3
         ),
-        "latency_p50_s": round(_percentile(latencies, 0.50), 6),
-        "latency_p95_s": round(_percentile(latencies, 0.95), 6),
-        "latency_max_s": round(latencies[-1], 6) if latencies else 0.0,
+        "latency_p50_s": round(percentile(latencies, 50.0), 6),
+        "latency_p95_s": round(percentile(latencies, 95.0), 6),
+        "latency_max_s": round(max(latencies), 6) if latencies else 0.0,
         "rejected_retries": rejected_retries,
         "lost_jobs": len(lost),
         "duplicated_jobs": duplicated,

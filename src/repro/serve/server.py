@@ -16,11 +16,12 @@ and tests drive it directly. One instance owns:
   it) and one ``jobs/<id>/events.jsonl`` per job (what the streaming
   endpoint tails).
 
-Execution runs ``execute()`` serially inside worker threads, so the
-engine's thread-timeout fallback (not SIGALRM) enforces per-job
-budgets, and cache events route through a thread-local router so each
-job's ledger gets its own cache traffic even though the cache is
-shared.
+Execution calls ``execute()`` from worker threads. Untimed sweeps run
+serially in the thread; a sweep with a timeout runs in one lease
+worker, whose main thread arms the engine's ``SIGALRM`` budget under
+the parent watchdog. Cache events route through a thread-local router
+so each job's ledger gets its own cache traffic even though the cache
+is shared.
 
 Drain is a promise kept: :meth:`drain` stops admissions, every
 already-admitted job settles (the crash-recovery machinery inside
@@ -345,7 +346,6 @@ class ServeServer:
                 code_version=self.code_version,
                 events=sink,
                 trace=self.config.trace or None,
-                dispatch=self.config.dispatch,
                 lease_size=self.config.lease_size,
                 backend=request.backend or self.config.backend,
             )

@@ -6,15 +6,3 @@ legends) that emits standalone SVG, and :mod:`repro.viz.figures` maps
 experiment-runner outputs onto those charts — ``python -m repro render
 fig11 out/`` regenerates the paper's figures as image files.
 """
-
-from repro.viz.svg import BarChart, Chart, Series, render_svg
-from repro.viz.figures import FIGURES, render_figure
-
-__all__ = [
-    "BarChart",
-    "Chart",
-    "FIGURES",
-    "Series",
-    "render_figure",
-    "render_svg",
-]

@@ -1,11 +1,11 @@
-"""Tests for batch-lease dispatch: fusing, isolation, crash requeue."""
+"""Tests for batch-lease dispatch: lease size, isolation, crash requeue."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.engine import BatchSpec, JobSpec, execute, fuse_jobs
+from repro.engine import JobSpec, execute
 from repro.engine.pool import _auto_lease_size
 from repro.engine.shm import active_segments
 from repro.experiments.export import to_jsonable
@@ -21,31 +21,7 @@ def _echo_jobs(n=N_JOBS):
 
 
 class TestFuseJobs:
-    def test_every_job_lands_once_in_order(self):
-        jobs = _echo_jobs(10)
-        leases = fuse_jobs(jobs, 3)
-        assert [lease.size for lease in leases] == [3, 3, 3, 1]
-        flat = [job for lease in leases for job in lease.jobs]
-        assert flat == jobs
-
-    def test_lease_size_one_degenerates_to_per_job(self):
-        leases = fuse_jobs(_echo_jobs(4), 1)
-        assert [lease.size for lease in leases] == [1, 1, 1, 1]
-
-    def test_lease_size_validation(self):
-        with pytest.raises(ValueError):
-            fuse_jobs(_echo_jobs(4), 0)
-
-    def test_empty_lease_rejected(self):
-        with pytest.raises(ValueError):
-            BatchSpec(jobs=())
-
-    def test_display_names_range(self):
-        jobs = _echo_jobs(3)
-        assert fuse_jobs(jobs, 3)[0].display == (
-            f"lease[{jobs[0].display}..{jobs[2].display}]"
-        )
-        assert fuse_jobs(jobs, 1)[0].display == f"lease[{jobs[0].display}]"
+    """How the executor cuts its own leases."""
 
     def test_auto_lease_size_targets_four_leases_per_worker(self):
         assert _auto_lease_size(256, 4) == 16
@@ -57,7 +33,7 @@ class TestBatchExecution:
     def test_batch_matches_serial(self):
         jobs = _echo_jobs()
         serial = execute(jobs, workers=1)
-        batched = execute(jobs, workers=3, dispatch="batch")
+        batched = execute(jobs, workers=3)
         assert serial.values() == batched.values()
 
     @pytest.mark.parametrize("lease_size", [1, 4, 64])
@@ -65,13 +41,9 @@ class TestBatchExecution:
         jobs = _echo_jobs()
         serial = execute(jobs, workers=1)
         batched = execute(
-            jobs, workers=2, dispatch="batch", lease_size=lease_size
+            jobs, workers=2, lease_size=lease_size
         )
         assert serial.values() == batched.values()
-
-    def test_invalid_dispatch_rejected(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            execute(_echo_jobs(2), workers=2, dispatch="warp")
 
     def test_invalid_lease_size_rejected(self):
         with pytest.raises(ValueError, match="lease_size"):
@@ -89,7 +61,7 @@ class TestBatchExecution:
             for i in range(4)
         ]
         serial = execute(jobs, workers=1)
-        batched = execute(jobs, workers=2, dispatch="batch")
+        batched = execute(jobs, workers=2)
         for a, b in zip(serial.values(), batched.values()):
             np.testing.assert_array_equal(a["values"], b["values"])
             assert a["checksum"] == b["checksum"]
@@ -101,7 +73,7 @@ class TestBatchExecution:
             for i in range(3)
         ]
         serial = execute(jobs, workers=1)
-        batched = execute(jobs, workers=2, dispatch="batch", shm_bytes=0)
+        batched = execute(jobs, workers=2, shm_bytes=0)
         canon = [
             json.dumps(to_jsonable(r.values()), sort_keys=True)
             for r in (serial, batched)
@@ -115,7 +87,7 @@ class TestCrashIsolation:
         jobs = _echo_jobs(6)
         jobs[2] = JobSpec(runner="test.crash", index=2, label="boom")
         result = execute(
-            jobs, workers=2, dispatch="batch", lease_size=3, retries=0
+            jobs, workers=2, lease_size=3, retries=0
         )
         statuses = [o.status for o in result.outcomes]
         assert statuses == ["ok", "ok", "failed", "ok", "ok", "ok"]
@@ -131,7 +103,7 @@ class TestCrashIsolation:
             for i in range(4)
         ]
         result = execute(
-            jobs, workers=2, dispatch="batch", lease_size=2, retries=0
+            jobs, workers=2, lease_size=2, retries=0
         )
         assert result.failed_count == 4
         assert all(
@@ -148,7 +120,6 @@ class TestCrashIsolation:
         result = execute(
             jobs,
             workers=2,
-            dispatch="batch",
             lease_size=2,
             retries=0,
             timeout_s=0.5,

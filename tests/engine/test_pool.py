@@ -311,7 +311,7 @@ class TestProgress:
 
 
 def _spin_runner(duration_s=5.0, seed=None):
-    """Busy-loop in Python bytecode so async-raised timeouts land."""
+    """Busy-loop in Python bytecode for ``duration_s`` unless timed out."""
     import time
 
     deadline = time.monotonic() + float(duration_s)
@@ -321,13 +321,25 @@ def _spin_runner(duration_s=5.0, seed=None):
     return {"spins": x, "seed": seed}
 
 
+def _sigterm_proof_hang(hang_s=60.0, seed=None):
+    """Hang with SIGALRM and SIGTERM ignored: only SIGKILL ends it."""
+    import signal
+    import time
+
+    signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    deadline = time.monotonic() + float(hang_s)
+    while time.monotonic() < deadline:
+        time.sleep(0.05)
+
+
 class TestOffMainThreadTimeout:
     """Regression: ``timeout_s`` used to silently no-op off the main
     thread (SIGALRM cannot be armed there), so a serve worker thread
-    running serial ``execute()`` had no per-job budget at all. A
-    fallback timer now raises the same JobTimeoutError asynchronously;
-    when even that is unavailable the engine warns and notes a
-    ``job_timeout_unenforced`` event instead of staying silent."""
+    running serial ``execute()`` had no per-job budget at all. A timed
+    sweep called off the main thread now runs in one lease worker,
+    where SIGALRM on the worker's main thread raises JobTimeoutError
+    and the parent watchdog kills a worker that outlives the budget."""
 
     @staticmethod
     def _execute_in_thread(**kwargs):
@@ -372,51 +384,127 @@ class TestOffMainThreadTimeout:
         self._execute_in_thread(timeout_s=0.2, events=sink)
         assert "job_timeout" in sink.events
 
-    def test_unenforceable_timeout_warns_and_notes(self, monkeypatch):
-        import warnings
+    def test_sleep_in_c_code_times_out_off_main_thread(self):
+        """A C-level sleep ignores exceptions raised into its thread;
+        the timed sweep must run where SIGALRM can interrupt it."""
+        import threading
+        import time
 
-        from repro.engine import pool as pool_mod
+        box = {}
 
-        monkeypatch.setattr(
-            pool_mod._ThreadTimeoutTimer, "start", lambda self: False
-        )
+        def run():
+            started = time.monotonic()
+            box["result"] = execute(
+                [JobSpec(runner="test.sleep", kwargs={"duration_s": 5.0})],
+                timeout_s=0.2,
+                retries=0,
+            )
+            box["wall_s"] = time.monotonic() - started
 
-        class Sink:
-            def __init__(self):
-                self.events = []
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        outcome = box["result"].outcomes[0]
+        assert outcome.status == "failed"
+        assert outcome.failure.error_type == "JobTimeoutError"
+        assert box["wall_s"] < 1.0
 
-            def emit(self, event, **fields):
-                self.events.append((event, fields))
+    def test_watchdog_reclaims_hang_under_asyncio_style_handlers(self):
+        """An asyncio loop (``repro serve``) leaves the main thread with
+        no-op SIGTERM/SIGINT handlers and a signal wakeup fd. The forked
+        lease worker must shed both: the watchdog's terminate() has to
+        end a job hung past its budget, and the worker's SIGTERM must
+        not land in the parent loop's self-pipe."""
+        import multiprocessing
+        import signal
+        import socket
+        import threading
+        import time
 
-        sink = Sink()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            box = {}
-            import threading
+        from repro.engine.pool import _WATCHDOG_GRACE_S
 
-            def run():
-                box["result"] = execute(
-                    [JobSpec(runner="test.sleep",
-                             kwargs={"duration_s": 0.01})],
-                    workers=1,
-                    retries=0,
-                    timeout_s=0.5,
-                    events=sink,
-                )
+        rsock, wsock = socket.socketpair()
+        rsock.setblocking(False)
+        wsock.setblocking(False)
+        handlers = {
+            sig: signal.signal(sig, lambda signum, frame: None)
+            for sig in (signal.SIGTERM, signal.SIGINT)
+        }
+        wakeup_fd = signal.set_wakeup_fd(wsock.fileno())
+        box = {}
 
-            thread = threading.Thread(target=run)
+        def run():
+            started = time.monotonic()
+            box["result"] = execute(
+                [JobSpec(runner="test.hang", kwargs={"hang_s": 60.0})],
+                timeout_s=0.2,
+                retries=0,
+            )
+            box["wall_s"] = time.monotonic() - started
+
+        thread = threading.Thread(target=run, daemon=True)
+        try:
             thread.start()
-            thread.join(timeout=30)
-        assert box["result"].outcomes[0].status == "ok"
-        assert any(
-            "cannot be enforced" in str(w.message)
-            and issubclass(w.category, RuntimeWarning)
-            for w in caught
-        )
-        types = [event for event, _ in sink.events]
-        assert "job_timeout_unenforced" in types
-        fields = dict(sink.events)["job_timeout_unenforced"]
-        assert fields["timeout_s"] == 0.5
+            thread.join(timeout=0.2 + _WATCHDOG_GRACE_S + 10.0)
+            stuck = thread.is_alive()
+            left_alive = multiprocessing.active_children()
+        finally:
+            signal.set_wakeup_fd(wakeup_fd)
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
+            for child in multiprocessing.active_children():
+                child.kill()
+                child.join()
+            thread.join(timeout=10.0)
+            try:
+                woken = rsock.recv(64)
+            except BlockingIOError:
+                woken = b""
+            rsock.close()
+            wsock.close()
+        assert not stuck
+        assert left_alive == []
+        assert bytes([signal.SIGTERM]) not in woken
+        outcome = box["result"].outcomes[0]
+        assert outcome.status == "failed"
+        assert outcome.failure.error_type == "WorkerCrashError"
+        assert "watchdog" in outcome.failure.error
+        assert box["wall_s"] < 0.2 + _WATCHDOG_GRACE_S + 3.0
+
+    def test_watchdog_kills_a_worker_that_ignores_sigterm(self):
+        """A runner may trap SIGTERM itself; the worker is then killed."""
+        import multiprocessing
+        import threading
+        import time
+
+        from repro.engine.pool import _WATCHDOG_GRACE_S
+
+        box = {}
+
+        def run():
+            started = time.monotonic()
+            box["result"] = execute(
+                [JobSpec(runner="tests.engine.test_pool:_sigterm_proof_hang")],
+                timeout_s=0.2,
+                retries=0,
+            )
+            box["wall_s"] = time.monotonic() - started
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=0.2 + _WATCHDOG_GRACE_S + 10.0)
+        left_alive = multiprocessing.active_children()
+        for child in left_alive:
+            child.kill()
+            child.join()
+        thread.join(timeout=10.0)
+        assert left_alive == []
+        outcome = box["result"].outcomes[0]
+        assert outcome.status == "failed"
+        assert outcome.failure.error_type == "WorkerCrashError"
+        assert "watchdog" in outcome.failure.error
+        assert box["wall_s"] < 0.2 + _WATCHDOG_GRACE_S + 3.0
 
     def test_main_thread_still_uses_sigalrm(self):
         """The SIGALRM path is untouched: interrupts C-level sleep."""

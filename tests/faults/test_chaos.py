@@ -294,7 +294,6 @@ class TestBatchDispatchChaos:
         result = execute(
             self._array_jobs(),
             workers=2,
-            dispatch="batch",
             lease_size=3,
             retries=0,
             faults=plan,
@@ -312,7 +311,6 @@ class TestBatchDispatchChaos:
         result = execute(
             self._array_jobs(),
             workers=2,
-            dispatch="batch",
             lease_size=2,
             retries=0,
             faults=plan,
@@ -327,7 +325,6 @@ class TestBatchDispatchChaos:
         result = execute(
             jobs,
             workers=2,
-            dispatch="batch",
             lease_size=2,
             retries=0,
             max_failures=1,
@@ -343,10 +340,10 @@ class TestBatchDispatchChaos:
             for i in range(N_JOBS)
         ]
         per_job = execute(
-            jobs, workers=2, dispatch="per-job", retries=2, faults=plan
+            jobs, workers=2, lease_size=1, retries=2, faults=plan
         )
         batched = execute(
-            jobs, workers=2, dispatch="batch", retries=2, faults=plan
+            jobs, workers=2, retries=2, faults=plan
         )
         assert per_job.values() == batched.values()
         assert per_job.failed_count == batched.failed_count == 0

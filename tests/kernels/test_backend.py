@@ -11,7 +11,6 @@ from repro.experiments.export import to_jsonable
 from repro.kernels.backend import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
-    BackendUnavailableError,
     UnknownBackendError,
     active_backend,
     active_dtype,
@@ -19,14 +18,13 @@ from repro.kernels.backend import (
     default_backend_name,
     get_backend,
     use_backend,
-    validate_backend,
 )
 from repro.kernels.scan import ar1_scan
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"numpy64", "numpy32", "numba"} <= set(available_backends())
+        assert {"numpy64", "numpy32"} <= set(available_backends())
 
     def test_unknown_backend_raises(self):
         with pytest.raises(UnknownBackendError, match="choose from"):
@@ -39,15 +37,6 @@ class TestRegistry:
 
     def test_numpy32_is_tolerance_matched(self):
         assert not get_backend("numpy32").exact
-
-    def test_numba_is_gated_not_hidden(self):
-        # numba is not installed in this repository's environments: the
-        # backend must stay listed but refuse selection with the reason.
-        backend = get_backend("numba")
-        if backend.available:  # pragma: no cover - numba present
-            pytest.skip("numba importable here; gate not exercisable")
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            validate_backend("numba")
 
 
 class TestScoping:
@@ -90,13 +79,6 @@ class TestScoping:
         with pytest.raises(UnknownBackendError):
             active_backend()
 
-    def test_unavailable_selection_raises(self):
-        if get_backend("numba").available:  # pragma: no cover
-            pytest.skip("numba importable here")
-        with pytest.raises(BackendUnavailableError):
-            with use_backend("numba"):
-                pass
-
 
 class TestKernelContract:
     def test_numpy64_kernels_are_float64(self):
@@ -132,7 +114,7 @@ class TestEngineIntegration:
                 for i in range(3)]
         serial = execute(jobs, workers=1, backend="numpy32")
         batched = execute(
-            jobs, workers=2, dispatch="batch", backend="numpy32"
+            jobs, workers=2, backend="numpy32"
         )
         canon = [
             json.dumps(to_jsonable(r.values()), sort_keys=True)

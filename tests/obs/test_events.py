@@ -36,7 +36,6 @@ class TestEventSink:
             "job_start",
             "job_retry",
             "job_timeout",
-            "job_timeout_unenforced",
             "job_end",
             "job_skipped",
             "cache_hit",

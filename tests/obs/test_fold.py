@@ -287,6 +287,62 @@ class TestWatchFinishedOnAppendedLedgers:
         assert "ETA" in out.getvalue()
 
 
+class TestWatchFinishedAfterATornWriter:
+    """A sweep torn off with a job in flight, then a new EventLog
+    appending a complete sweep: ``seq`` restarting marks the new
+    writer, and the torn sweep can never close."""
+
+    def _ledger(self, path):
+        torn = EventLog(path)
+        torn.emit("sweep_start", jobs=2, workers=1)
+        torn.emit("job_start", index=0, runner="r", label="a")
+        torn.emit("job_end", index=0, runner="r", label="a", status="ok",
+                  duration_s=0.1)
+        torn.emit("job_start", index=1, runner="r", label="b")
+        torn.close()
+        log = EventLog(path)
+        log.emit("sweep_start", jobs=1, workers=1)
+        log.emit("job_start", index=0, runner="r", label="c")
+        log.emit("job_end", index=0, runner="r", label="c", status="ok",
+                 duration_s=0.1)
+        log.emit("run_summary", jobs=1, elapsed_s=0.2, workers=1)
+        log.emit("sweep_end", jobs=1, elapsed_s=0.2)
+        log.close()
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_the_new_writers_close_finishes_the_view(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        events = self._ledger(path)
+        view = WatchView()
+        for event in events:
+            view.feed(event)
+        assert view.finished
+        assert "(1 interrupted)" in view.render()
+        # Only `finished` changes: the torn job still counts as open.
+        assert len(view.running) == 1
+        assert _watch_counts(view) == _shared(
+            aggregate_events(events)["overall"]
+        )
+        out = io.StringIO()
+        started = time.monotonic()
+        watch(str(path), out=out, interval_s=0.01, duration_s=5.0,
+              linger_s=0.0)
+        assert time.monotonic() - started < 2.5
+        assert "interrupted" in out.getvalue()
+
+    def test_cut_before_the_new_writer_closes_is_not_finished(
+        self, tmp_path
+    ):
+        events = self._ledger(tmp_path / "torn.jsonl")
+        second = [i for i, e in enumerate(events) if e["seq"] == 1][1]
+        close = [e["event"] for e in events].index("run_summary")
+        for cut in range(second, close):
+            view = WatchView()
+            for event in events[:cut]:
+                view.feed(event)
+            assert not view.finished, events[cut - 1]
+
+
 class TestReportPerJobRun:
     def test_appended_sweep_gets_a_row_and_a_flame_per_run(self, tmp_path):
         ledger = tmp_path / "L.jsonl"

@@ -228,7 +228,7 @@ class TestTornLedgerReconciliation:
             JobSpec(runner="test.echo", kwargs={"v": i}, index=i)
             for i in range(6)
         ]
-        execute(jobs, workers=2, dispatch="batch", lease_size=3,
+        execute(jobs, workers=2, lease_size=3,
                 events=sink)
         events = list(sink.events)
         end_indices = [

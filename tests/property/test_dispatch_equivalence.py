@@ -67,9 +67,9 @@ def test_batched_equals_per_job_equals_serial(
 ):
     jobs = _jobs(n_jobs, big_every)
     serial = execute(jobs, workers=1)
-    per_job = execute(jobs, workers=workers, dispatch="per-job")
+    per_job = execute(jobs, workers=workers, lease_size=1)
     batched = execute(
-        jobs, workers=workers, dispatch="batch", lease_size=lease_size
+        jobs, workers=workers, lease_size=lease_size
     )
     assert _canon(serial) == _canon(per_job) == _canon(batched)
     assert active_segments() == ()
@@ -84,12 +84,11 @@ def test_injected_crash_fails_same_job_in_both_modes(crash_at, lease_size):
     jobs = _jobs(8)
     plan = FaultPlan.single("crash", at=(crash_at,))
     per_job = execute(
-        jobs, workers=2, dispatch="per-job", retries=0, faults=plan
+        jobs, workers=2, lease_size=1, retries=0, faults=plan
     )
     batched = execute(
         jobs,
         workers=2,
-        dispatch="batch",
         lease_size=lease_size,
         retries=0,
         faults=plan,
@@ -119,7 +118,6 @@ def test_injected_hang_is_reclaimed_under_batch(hang_at, lease_size):
     batched = execute(
         jobs,
         workers=2,
-        dispatch="batch",
         lease_size=lease_size,
         retries=0,
         timeout_s=0.5,

@@ -216,11 +216,7 @@ class TestBackendField:
             )
 
     def test_unavailable_backend_is_bad_request(self):
-        from repro.kernels.backend import get_backend
-
-        if get_backend("numba").available:  # pragma: no cover
-            pytest.skip("numba importable here")
-        with pytest.raises(BadRequest, match="not available"):
+        with pytest.raises(BadRequest, match="unknown backend"):
             JobRequest.from_payload(
                 {"artifacts": ["test.echo"], "backend": "numba"}
             )
