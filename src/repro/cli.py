@@ -1065,11 +1065,11 @@ def _cmd_cache(args) -> int:
             f"{summary['kept']} kept, {summary['size_bytes']} bytes on disk"
         )
         return 0
-    stats = cache.entry_stats()
     now_ns = time.time_ns()
-    for path, size, mtime_ns in stats:
+    for path, size, mtime_ns in cache.entry_stats():
         age_s = max(0.0, (now_ns - mtime_ns) / 1e9)
         print(f"{size:>10}  {age_s:>9.1f}s  {path.name}")
+    account = cache.scan()
     quarantined = (
         len(list(cache.quarantine_dir.iterdir()))
         if cache.quarantine_dir.is_dir()
@@ -1077,8 +1077,8 @@ def _cmd_cache(args) -> int:
     )
     tail = f", {quarantined} quarantined" if quarantined else ""
     print(
-        f"{len(stats)} entry(ies), "
-        f"{sum(size for _, size, _ in stats)} bytes{tail}"
+        f"{len(account.entries)} entry(ies), {account.total} bytes "
+        f"with {len(account.sidecars)} sidecar(s){tail}"
     )
     return 0
 

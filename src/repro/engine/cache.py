@@ -12,34 +12,41 @@ The default code-version tag hashes every ``.py`` file under the
 keeps stale results from leaking into regenerated artifacts.
 
 The store is bounded on demand, not on write: :meth:`ResultCache.gc`
-evicts least-recently-used entries (by mtime — :meth:`get` touches an
-entry on every hit, so recency tracks *use*, not creation) until the
-directory fits a byte budget. The quarantine directory never counts
-against the budget and is never evicted — corrupt entries are kept for
-post-mortems until explicitly cleared. ``python -m repro cache``
-exposes both (``ls``, ``gc --max-bytes``), and
-:class:`repro.serve.store.BoundedResultCache` enforces the budget
-continuously for the long-running job server.
+builds a :class:`CacheAccount` in one scan — entries in LRU order with
+the ``.npy`` sidecars each references, each shared sidecar counted
+once — and evicts least-recently-used entries (by mtime — :meth:`get`
+touches an entry on every hit, so recency tracks *use*, not creation),
+each with the sidecars only it held, until entries plus sidecars fit a
+byte budget. The quarantine directory never counts against the budget
+and is never evicted — corrupt entries are kept for post-mortems until
+explicitly cleared. ``python -m repro cache`` exposes both (``ls``,
+``gc --max-bytes``), and :class:`repro.serve.store.BoundedResultCache`
+keeps the account live to enforce the budget continuously.
 
-Concurrent writers are safe: :meth:`put` stages each entry under a
-PID/thread-unique temp name in the cache directory and ``os.replace``s
-it over the target, so two processes (or two threads of the serve
-pool) racing to persist the same key both land whole files — last
-writer wins, readers never observe a torn entry.
+Concurrent writers are safe: each entry and sidecar is staged under a
+PID/thread-unique temp name beside its target and ``os.replace``d over
+the target, so two processes (or two threads of the serve pool) racing
+to persist the same key both land whole files — last writer wins,
+readers never observe a torn entry.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import re
 import tempfile
 import threading
 import warnings
+from collections import Counter, OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -66,6 +73,9 @@ NPY_MARKER = "__npy__"
 #: ~100x the decode cost).
 SIDECAR_MIN_ELEMS = 1024
 
+#: A sidecar's name stem: the ``array_digest`` of its array.
+_DIGEST = re.compile(r"[0-9a-f]{32}")
+
 
 def _array_to_lists(arr: "np.ndarray", decoded: bool) -> Any:
     """One ndarray → the nested lists ``to_jsonable`` would produce.
@@ -86,6 +96,115 @@ def _array_to_lists(arr: "np.ndarray", decoded: bool) -> Any:
                 out[np.isneginf(arr)] = NEG_INF_SENTINEL
             return out.tolist()
     return arr.tolist()
+
+
+def _npy_bytes(arr: "np.ndarray") -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, arr, allow_pickle=False)
+    return buffer.getvalue()
+
+
+def _descriptors(node: Any) -> Iterator[Dict[str, Any]]:
+    """Every sidecar descriptor (``{NPY_MARKER: desc}``) in a value."""
+    if isinstance(node, dict):
+        desc = node.get(NPY_MARKER) if len(node) == 1 else None
+        if isinstance(desc, dict) and _DIGEST.fullmatch(
+            str(desc.get("digest"))
+        ):
+            yield desc
+            return
+        node = node.values()
+    elif not isinstance(node, list):
+        return
+    for item in node:
+        if isinstance(item, (dict, list)):
+            yield from _descriptors(item)
+
+
+def _write_atomic(path: Path, data: bytes, replace: Any = os.replace) -> None:
+    """Land ``data`` at ``path`` whole: write and fsync a staging file
+    beside it, then ``replace(staging, path)``. A crash mid-write leaves
+    readers the old file, the new file, or nothing, never a torn one.
+
+    mkstemp alone is collision-free, but a PID/thread-unique prefix
+    keeps staging files attributable (which process left this behind?)
+    and guarantees two racing writers of one target never share a
+    staging name even on filesystems with weak O_EXCL semantics.
+    """
+    fd, tmp_name = tempfile.mkstemp(
+        dir=str(path.parent),
+        prefix=f".tmp-{os.getpid()}-{threading.get_ident()}-",
+        suffix=path.suffix,
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
+class CacheAccount:
+    """What a cache directory holds, as one byte ``total``.
+
+    ``entries`` maps each committed record's file name to its bytes and
+    the sidecar digests it references, least recently used first.
+    ``sidecars`` maps each ``.npy`` file on disk to its bytes, so a
+    shared sidecar counts once. ``refs`` counts a digest's holders: the
+    entries that reference it and the puts in flight that pinned it.
+    Each method that drops holds returns the sidecars left without one,
+    for the caller to unlink.
+    """
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[str, Tuple[int, FrozenSet[str]]]
+        self.entries = OrderedDict()
+        self.sidecars: Dict[str, int] = {}
+        self.refs: Counter = Counter()
+        self.total = 0
+
+    def add_sidecar(self, digest: str, size: int) -> None:
+        if digest not in self.sidecars:
+            self.sidecars[digest] = size
+            self.total += size
+
+    def drop_sidecar(self, digest: str) -> int:
+        size = self.sidecars.pop(digest, 0)
+        self.total -= size
+        return size
+
+    def add_entry(
+        self, name: str, size: int, digests: Iterable[str]
+    ) -> List[str]:
+        """Count ``name`` as the most recently used entry, replacing its
+        previous version (whose sidecars the new one may share)."""
+        digests = frozenset(digests)
+        self.refs.update(digests)
+        orphans = self.drop_entry(name)
+        self.entries[name] = (size, digests)
+        self.total += size
+        return orphans
+
+    def drop_entry(self, name: str) -> List[str]:
+        size, digests = self.entries.pop(name, (0, frozenset()))
+        self.total -= size
+        return self.release(digests)
+
+    def release(self, digests: Iterable[str]) -> List[str]:
+        """Drop one hold per digest (the caller holds each it names)."""
+        orphans: List[str] = []
+        for digest in digests:
+            self.refs[digest] -= 1
+            if self.refs[digest] <= 0:
+                del self.refs[digest]
+                if digest in self.sidecars and digest not in orphans:
+                    orphans.append(digest)
+        return orphans
+
 
 # Memo for default_code_version, keyed per source root on a cheap
 # (path, mtime_ns, size) scan rather than process lifetime: a
@@ -209,34 +328,23 @@ class ResultCache:
         """Persist one ndarray as ``arrays/<digest>.npy``; returns digest.
 
         Content-addressed, so identical arrays across entries share one
-        file and a re-put of the same key is a no-op. Written via temp
-        file + ``os.replace`` like entries: concurrent writers of the
-        same digest both land whole files with identical bytes.
+        file and a re-put of the same key is a no-op. Written atomically
+        like entries: concurrent writers of the same digest both land
+        whole files with identical bytes.
         """
         arr = np.ascontiguousarray(arr)
         digest = array_digest(arr)
         path = self.arrays_dir / f"{digest}.npy"
-        if path.exists():
-            return digest
-        self.arrays_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.arrays_dir),
-            prefix=f".tmp-{os.getpid()}-{threading.get_ident()}-",
-            suffix=".npy",
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, arr, allow_pickle=False)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        if not path.exists():
+            self.arrays_dir.mkdir(parents=True, exist_ok=True)
+            _write_atomic(path, _npy_bytes(arr))
         return digest
+
+    def _release_sidecars(self, digests: Iterable[str]) -> None:
+        """The sidecars :meth:`encode_value` stored, once no put of its
+        value will reference them: the put is over or encoding failed.
+        A plain cache keeps no account, so an orphan waits for
+        :meth:`gc`."""
 
     def _load_array(self, desc: Dict[str, Any]) -> "np.ndarray":
         """Load one sidecar and verify it matches its descriptor.
@@ -271,6 +379,7 @@ class ResultCache:
         storage trouble degrades performance, never correctness.
         """
         arrays: Dict[str, np.ndarray] = {}
+        stored: List[str] = []
 
         def hook(arr: "np.ndarray") -> Optional[Dict[str, Any]]:
             if (
@@ -283,6 +392,7 @@ class ResultCache:
                 digest = self._store_array(arr)
             except OSError:
                 return None
+            stored.append(digest)
             contiguous = np.ascontiguousarray(arr)
             arrays[digest] = contiguous
             return {
@@ -293,7 +403,11 @@ class ResultCache:
                 }
             }
 
-        return to_jsonable(value, array_hook=hook), arrays
+        try:
+            return to_jsonable(value, array_hook=hook), arrays
+        except BaseException:
+            self._release_sidecars(stored)
+            raise
 
     def decode_value(
         self,
@@ -351,27 +465,18 @@ class ResultCache:
             return [self._resolve_sidecars(item) for item in value]
         return value
 
-    def _purge_bad_sidecars(self, value: Any) -> None:
-        """Unlink every sidecar referenced by ``value`` that fails to load."""
-        if isinstance(value, dict):
-            if len(value) == 1 and NPY_MARKER in value:
-                desc = value[NPY_MARKER]
-                try:
-                    self._load_array(desc)
-                except (OSError, ValueError, KeyError, TypeError):
-                    try:
-                        (self.arrays_dir / f"{desc['digest']}.npy").unlink()
-                    except (OSError, KeyError, TypeError):
-                        pass
-                return
-            for item in value.values():
-                self._purge_bad_sidecars(item)
-        elif isinstance(value, list):
-            for item in value:
-                self._purge_bad_sidecars(item)
-
-    def _quarantine(self, path: Path, spec: JobSpec, reason: str) -> None:
-        """Move a corrupt entry aside (for post-mortems) and warn."""
+    def _quarantine(
+        self,
+        path: Path,
+        spec: JobSpec,
+        reason: str,
+        sidecars: Iterable[str] = (),
+    ) -> None:
+        """Move a corrupt entry aside (for post-mortems), unlink the bad
+        ``sidecars`` it referenced, and warn."""
+        for digest in sidecars:
+            with contextlib.suppress(OSError):
+                (self.arrays_dir / f"{digest}.npy").unlink()
         target_dir = self.quarantine_dir
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
@@ -436,8 +541,13 @@ class ResultCache:
             # files too — content-addressed puts skip existing paths,
             # so a poisoned sidecar left in place would survive the
             # recompute and fail every future hit.
-            self._quarantine(path, spec, f"unusable array sidecar: {exc}")
-            self._purge_bad_sidecars(record["value"])
+            bad = []
+            for desc in _descriptors(record["value"]):
+                try:
+                    self._load_array(desc)
+                except (OSError, ValueError):
+                    bad.append(desc["digest"])
+            self._quarantine(path, spec, f"unusable array sidecar: {exc}", bad)
             return False, None
         try:
             # Touch on hit: gc evicts by mtime, so recency must track
@@ -458,8 +568,7 @@ class ResultCache:
     def put(self, spec: JobSpec, key: str, value: Any) -> Path:
         """Atomically persist one normalised job result.
 
-        Written to a temp file in the same directory, fsync'd, then
-        ``os.replace``d over the target, so a crash mid-write can
+        Written with :func:`_write_atomic`, so a crash mid-write can
         never leave a half-written entry under the real name — readers
         see the old entry, the new entry, or nothing.
         """
@@ -480,29 +589,8 @@ class ResultCache:
             "key": key,
             "value": value,
         }
-        # mkstemp alone is collision-free, but a PID/thread-unique
-        # prefix keeps concurrent writers' staging files attributable
-        # (which process left this behind?) and guarantees two racing
-        # put()s of the same key can never share a staging name even on
-        # filesystems with weak O_EXCL semantics.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.root),
-            prefix=f".tmp-{os.getpid()}-{threading.get_ident()}-",
-            suffix=".json",
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, allow_nan=False)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        data = (json.dumps(record, allow_nan=False) + "\n").encode()
+        self._write_entry(path, data, value)
         if self.events is not None:
             self.events.emit(
                 "cache_put",
@@ -512,6 +600,10 @@ class ResultCache:
                 key=key,
             )
         return path
+
+    def _write_entry(self, path: Path, data: bytes, value: Any) -> None:
+        """Land one serialised record (``value`` is the value it holds)."""
+        _write_atomic(path, data)
 
     # -- maintenance -----------------------------------------------------
     def entries(self) -> Dict[str, Path]:
@@ -550,119 +642,89 @@ class ResultCache:
         stats.sort(key=lambda item: item[2])
         return stats
 
+    def scan(self) -> CacheAccount:
+        """The account of this directory, built in one pass; entry bodies
+        are read only when ``arrays/`` holds sidecars."""
+        account = CacheAccount()
+        for path in self.arrays_dir.glob("*.npy"):
+            if _DIGEST.fullmatch(path.stem):
+                with contextlib.suppress(OSError):
+                    account.add_sidecar(path.stem, path.stat().st_size)
+        for path, size, _ in self.entry_stats():
+            digests: List[str] = []
+            if account.sidecars:
+                try:
+                    with path.open() as handle:
+                        value = json.load(handle)["value"]
+                    digests = [d["digest"] for d in _descriptors(value)]
+                except (OSError, ValueError, KeyError, TypeError):
+                    pass
+            account.add_entry(path.name, size, digests)
+        return account
+
     def size_bytes(self) -> int:
-        """Total committed entry bytes (quarantine excluded)."""
-        return sum(size for _, size, _ in self.entry_stats())
+        """Entry plus sidecar bytes (quarantine and staging excluded)."""
+        return self.scan().total
 
     def gc(self, max_bytes: int) -> Dict[str, Any]:
         """Evict least-recently-used entries until ≤ ``max_bytes``.
 
-        Returns a summary dict: ``evicted``/``freed_bytes`` for what
-        was removed, ``kept``/``size_bytes`` for what remains. Each
-        eviction emits a ``cache_evict`` event when a sink is attached.
-        An entry another process removes first just doesn't count as
-        freed here; the budget still ends up respected.
+        Sizes count entries plus sidecars (see :meth:`size_bytes`), and
+        sidecars no entry references go first. Run it on an idle
+        directory: a sweep in progress writes its sidecars before the
+        entry that references them. Returns a summary dict:
+        ``evicted``/``freed_bytes``/``arrays_removed`` for what was
+        removed, ``kept``/``size_bytes`` for what remains. Each eviction
+        emits a ``cache_evict`` event when a sink is attached.
         """
-        max_bytes = max(0, int(max_bytes))
-        stats = self.entry_stats()
-        total = sum(size for _, size, _ in stats)
+        return self._evict(self.scan(), max(0, int(max_bytes)))
+
+    def _evict(self, account: CacheAccount, max_bytes: int) -> Dict[str, Any]:
+        """Unlink orphan sidecars, then LRU entries, each with the sidecars
+        only it held, until ``account`` fits ``max_bytes``."""
         evicted = 0
-        freed = 0
-        for path, size, _ in stats:
-            if total - freed <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
+        orphans = [d for d in account.sidecars if d not in account.refs]
+        arrays, freed = self._unlink_sidecars(account, orphans)
+        while account.total > max_bytes and account.entries:
+            name, (size, _) = next(iter(account.entries.items()))
+            orphans = account.drop_entry(name)
+            with contextlib.suppress(OSError):
+                (self.root / name).unlink()
+            removed, sidecar_bytes = self._unlink_sidecars(account, orphans)
             evicted += 1
-            freed += size
+            arrays += removed
+            freed += size + sidecar_bytes
             if self.events is not None:
                 self.events.emit(
                     "cache_evict",
-                    entry=path.name,
-                    bytes=size,
+                    entry=name,
+                    bytes=size + sidecar_bytes,
                     reason=f"lru (max_bytes={max_bytes})",
                 )
         return {
             "evicted": evicted,
             "freed_bytes": freed,
-            "kept": len(stats) - evicted,
-            "size_bytes": total - freed,
-            "arrays_removed": self._gc_orphan_arrays(),
+            "kept": len(account.entries),
+            "size_bytes": account.total,
+            "arrays_removed": arrays,
         }
 
-    def _referenced_digests(self) -> set:
-        """Digests referenced by any surviving cache entry."""
-
-        def _walk(node: Any, into: set) -> None:
-            if isinstance(node, dict):
-                if len(node) == 1 and NPY_MARKER in node:
-                    desc = node[NPY_MARKER]
-                    if isinstance(desc, dict) and "digest" in desc:
-                        into.add(str(desc["digest"]))
-                    return
-                for item in node.values():
-                    _walk(item, into)
-            elif isinstance(node, list):
-                for item in node:
-                    _walk(item, into)
-
-        referenced: set = set()
-        for path in self.entries().values():
+    def _unlink_sidecars(
+        self, account: CacheAccount, digests: Iterable[str]
+    ) -> Tuple[int, int]:
+        """Drop sidecars from ``account`` and disk: (files, bytes) freed."""
+        removed = freed = 0
+        for digest in digests:
+            size = account.drop_sidecar(digest)
             try:
-                with path.open() as handle:
-                    record = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if isinstance(record, dict):
-                _walk(record.get("value"), referenced)
-        return referenced
-
-    def _gc_orphan_arrays(self) -> int:
-        """Remove sidecars no surviving entry references; returns count.
-
-        Only runs when the arrays dir actually holds files — the
-        common no-sidecar cache pays nothing. A concurrent put can
-        momentarily orphan its own sidecar (array written, entry not
-        yet replaced); that put simply rewrites it, content-addressing
-        makes the race idempotent.
-        """
-        arrays_dir = self.arrays_dir
-        try:
-            sidecars = [p for p in arrays_dir.iterdir() if p.suffix == ".npy"]
-        except OSError:
-            return 0
-        if not sidecars:
-            return 0
-        referenced = self._referenced_digests()
-        removed = 0
-        for path in sidecars:
-            if path.stem in referenced:
-                continue
-            try:
-                path.unlink()
-                removed += 1
+                (self.arrays_dir / f"{digest}.npy").unlink()
             except OSError:
                 continue
-        return removed
+            removed += 1
+            freed += size
+        return removed, freed
 
     def clear(self) -> int:
-        """Delete every cached entry (and all sidecars); returns the
-        number of entries removed."""
-        removed = 0
-        for path in self.entries().values():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        try:
-            for sidecar in self.arrays_dir.iterdir():
-                try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
-        except OSError:
-            pass
-        return removed
+        """Evict every entry and sidecar (``gc(0)``); returns the number
+        of entries removed."""
+        return self.gc(0)["evicted"]

@@ -26,9 +26,6 @@ PathLike = Union[str, Path]
 #: Default byte budget for the shared result cache (64 MiB).
 DEFAULT_CACHE_MAX_BYTES = 64 * 1024 * 1024
 
-#: Default byte budget for the artifact store (256 MiB).
-DEFAULT_ARTIFACTS_MAX_BYTES = 256 * 1024 * 1024
-
 
 @dataclass
 class ServeConfig:
@@ -52,7 +49,6 @@ class ServeConfig:
     max_concurrency: int = 4
     queue_limit: int = 256
     cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
-    artifacts_max_bytes: int = DEFAULT_ARTIFACTS_MAX_BYTES
     job_workers: int = 1
     timeout_s: Optional[float] = None
     retries: int = 1
@@ -68,8 +64,8 @@ class ServeConfig:
             raise ValueError("max_concurrency must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.cache_max_bytes < 0 or self.artifacts_max_bytes < 0:
-            raise ValueError("byte budgets must be >= 0")
+        if self.cache_max_bytes < 0:
+            raise ValueError("cache_max_bytes must be >= 0")
         if self.lease_size is not None and self.lease_size < 1:
             raise ValueError("lease_size must be >= 1")
 

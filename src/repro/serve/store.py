@@ -3,20 +3,20 @@
 Two stores, both plain directories:
 
 * :class:`BoundedResultCache` — the engine's
-  :class:`~repro.engine.cache.ResultCache` with its byte budget
-  enforced *continuously*: every ``put`` updates an incremental size
-  account and triggers an LRU sweep (``ResultCache.gc``) the moment
-  the directory exceeds ``max_bytes``. All tenants share one cache —
-  identical sweeps submitted by different tenants hit the same
-  entries, which is the point of content-keyed results.
+  :class:`~repro.engine.cache.ResultCache` with its byte budget, entries
+  plus ``.npy`` sidecars, enforced *continuously* from a live
+  :class:`~repro.engine.cache.CacheAccount` that is never rebuilt from
+  the directory. All tenants share one cache — identical sweeps
+  submitted by different tenants hit the same entries, which is the
+  point of content-keyed results.
 * :class:`ArtifactStore` — content-addressed blobs for outputs too
   large or too numerous for job records: result payloads, manifests,
   rendered reports. Keyed by SHA-256, sharded two-hex-deep, written
   atomically, deduplicated by construction (same bytes, same path).
+  Job records keep their digests, so blobs are never evicted.
 
-Both are safe for concurrent writers: the cache inherits the engine's
-unique-temp-name + ``os.replace`` protocol, the artifact store uses
-the same, and size accounting is lock-guarded.
+Both are safe for concurrent writers: each write is staged under a
+unique temp name and ``os.replace``d into place.
 """
 
 from __future__ import annotations
@@ -24,37 +24,39 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import re
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Union
 
-from repro.engine.cache import ResultCache
+import numpy as np
+
+from repro.engine.cache import (
+    ResultCache,
+    _descriptors,
+    _npy_bytes,
+    _write_atomic,
+)
+from repro.engine.shm import array_digest
 from repro.engine.spec import JobSpec
 
 PathLike = Union[str, Path]
 
 
-#: Serialization overhead a cache record adds on top of its value
-#: bytes (runner/kwargs/seed/scale envelope). Deliberately generous —
-#: an over-estimate only evicts slightly early, an under-estimate
-#: would let a commit overshoot the budget.
-_RECORD_OVERHEAD_BYTES = 1024
-
-
 class BoundedResultCache(ResultCache):
     """A :class:`ResultCache` that never exceeds ``max_bytes`` on disk.
 
-    The budget holds *throughout* a put, not just after it: each
-    writer reserves a conservative size estimate up front, evicts LRU
-    entries until committed-bytes + all in-flight reservations fit,
-    and only then commits. The committed account starts from a
-    directory scan and is maintained incrementally, so steady-state
-    puts cost one ``stat``, not a directory walk. Eviction order is
-    LRU by mtime; ``get`` touches entries on hit, so recently *used*
-    entries survive. Quarantined entries never count. The single
-    exception to the invariant is a value bigger than the whole
-    budget, which is committed and then immediately evicted.
+    The account of entries and sidecars is built by one scan at start-up
+    and then kept live under one lock. The budget holds *throughout* a
+    put: each entry or sidecar write reserves its exact size and evicts
+    least-recently-used entries (with the sidecars only they held) until
+    committed plus reserved bytes fit, then lands the file and commits
+    it under the lock. A sidecar stays pinned from the ``encode_value``
+    that stores it until the put that references it commits or fails.
+    ``get`` moves a hit to the recent end and drops what it quarantines.
+    The exceptions are a value bigger than the whole budget, committed
+    and then evicted, and puts in flight that together outgrow it.
     """
 
     def __init__(
@@ -65,126 +67,137 @@ class BoundedResultCache(ResultCache):
     ) -> None:
         super().__init__(root, events=events)
         self.max_bytes = int(max_bytes)
-        self._size_lock = threading.Lock()
-        # Entries whose put has started its commit but not yet added
-        # its bytes (path -> puts in flight), budget scans in flight,
-        # and a count of how many of either have started: enforce_budget
-        # trusts a scan's directory total only when none overlapped it.
-        self._committing: Dict[Path, int] = {}
-        self._scanning = 0
-        self._starts = 0
-        self._disk_bytes = self.size_bytes()
-        self._reserved_bytes = 0
+        self._lock = threading.Lock()
+        self._account = self.scan()
+        self._reserved = 0
         self.evictions = 0
         self.evicted_bytes = 0
 
     @property
     def approx_bytes(self) -> int:
-        """The incrementally maintained committed-size account."""
-        with self._size_lock:
-            return self._disk_bytes
+        """The live account's total: entries plus sidecars."""
+        with self._lock:
+            return self._account.total
 
-    @staticmethod
-    def _estimate_bytes(value: Any) -> int:
-        try:
-            body = len(
-                json.dumps(value, separators=(",", ":"), default=str)
-            )
-        except (TypeError, ValueError):
-            body = 4096
-        return body + _RECORD_OVERHEAD_BYTES
+    def _land(self, path: Path, data: bytes, commit: Callable) -> None:
+        """Reserve ``data``'s bytes and evict to fit; write it, then under
+        the lock rename it into place and ``commit`` its size."""
+        size = len(data)
+        with self._lock:
+            self._reserved += size
+            over = self._account.total + self._reserved > self.max_bytes
 
-    def put(self, spec: JobSpec, key: str, value: Any) -> Path:
-        estimate = self._estimate_bytes(value)
-        with self._size_lock:
-            self._reserved_bytes += estimate
-            over = (
-                self._disk_bytes + self._reserved_bytes > self.max_bytes
-            )
+        def replace(tmp_name: str, target: Path) -> None:
+            with self._lock:
+                os.replace(tmp_name, target)
+                self._reserved -= size
+                commit(size)
+
         try:
             if over:
-                # Make room *before* committing so the directory never
-                # exceeds the budget mid-put, even with concurrent
-                # writers (each one's reservation is accounted).
                 self.enforce_budget()
-            target = self.path_for(spec, key)
-            with self._size_lock:
-                self._committing[target] = self._committing.get(target, 0) + 1
-                self._starts += 1
-            added = 0
-            try:
-                path = super().put(spec, key, value)
-                try:
-                    added = path.stat().st_size
-                except OSError:
-                    added = estimate
-            finally:
-                with self._size_lock:
-                    self._committing[target] -= 1
-                    if not self._committing[target]:
-                        del self._committing[target]
-                    self._disk_bytes += added
+            _write_atomic(path, data, replace)
+        except BaseException:
+            with self._lock:
+                self._reserved -= size
+            raise
+
+    def _store_array(self, arr: "np.ndarray") -> str:
+        arr = np.ascontiguousarray(arr)
+        digest = array_digest(arr)
+        with self._lock:
+            self._account.refs[digest] += 1  # the pin
+            if digest in self._account.sidecars:
+                return digest
+        try:
+            self.arrays_dir.mkdir(parents=True, exist_ok=True)
+            self._land(
+                self.arrays_dir / f"{digest}.npy",
+                _npy_bytes(arr),
+                lambda size: self._account.add_sidecar(digest, size),
+            )
+        except BaseException:
+            self._release_sidecars([digest])
+            raise
+        return digest
+
+    def _release_sidecars(self, digests: Iterable[str]) -> None:
+        with self._lock:
+            orphans = self._account.release(digests)
+            self._unlink_sidecars(self._account, orphans)
+
+    def _write_entry(self, path: Path, data: bytes, value: Any) -> None:
+        digests = [desc["digest"] for desc in _descriptors(value)]
+
+        def commit(size: int) -> None:
+            orphans = self._account.add_entry(path.name, size, digests)
+            self._unlink_sidecars(self._account, orphans)
+
+        self._land(path, data, commit)
+
+    def put(self, spec: JobSpec, key: str, value: Any) -> Path:
+        try:
+            path = super().put(spec, key, value)
         finally:
-            with self._size_lock:
-                self._reserved_bytes -= estimate
-                over = self._disk_bytes > self.max_bytes
-        if over:
-            # Only reachable when the entry alone dwarfs the budget
-            # (or the estimate was somehow beaten): evict immediately.
+            # The entry now holds the sidecars encode_value pinned for
+            # it, or the put failed and nothing does.
+            self._release_sidecars(d["digest"] for d in _descriptors(value))
+        if self.approx_bytes > self.max_bytes:
+            # Only a value bigger than the budget, or puts in flight that
+            # together outgrew it, get here: evict now.
             self.enforce_budget()
         return path
 
-    def entry_stats(self) -> List[Tuple[Path, int, int]]:
-        """Committed entries, minus those whose put has not yet added
-        their bytes to the account: ``gc`` cannot evict (and subtract)
-        an entry before its put has counted it. Their reservations
-        still hold the room they take."""
-        with self._size_lock:
-            pending = set(self._committing)
-        return [
-            item for item in super().entry_stats() if item[0] not in pending
-        ]
+    def get(self, spec: JobSpec, key: str) -> Tuple[bool, Any]:
+        hit, value = super().get(spec, key)
+        name = self.path_for(spec, key).name
+        with self._lock:
+            if hit and name in self._account.entries:
+                self._account.entries.move_to_end(name)
+        return hit, value
+
+    def _quarantine(
+        self,
+        path: Path,
+        spec: JobSpec,
+        reason: str,
+        sidecars: Iterable[str] = (),
+    ) -> None:
+        with self._lock:
+            super()._quarantine(path, spec, reason, sidecars)
+            for digest in sidecars:
+                self._account.drop_sidecar(digest)
+            orphans = self._account.drop_entry(path.name)
+            self._unlink_sidecars(self._account, orphans)
+
+    def gc(self, max_bytes: int) -> Dict[str, Any]:
+        """Evict from the live account; no directory scan."""
+        with self._lock:
+            return self._evict(self._account, max(0, int(max_bytes)))
 
     def enforce_budget(self) -> Dict[str, Any]:
-        """Evict LRU entries until committed + reserved bytes fit.
-
-        The committed account drops by the bytes ``gc`` freed. When no
-        put committed and no other scan ran while ``gc`` scanned, the
-        account is instead reconciled to the scan's exact directory
-        total. A put that commits during the scan may or may not be in
-        that total, so a raced scan must not overwrite the account; the
-        lock is never held across the scan, so puts do not wait on it.
-        """
-        with self._size_lock:
-            reserved = self._reserved_bytes
-            quiet = not self._committing and not self._scanning
-            self._scanning += 1
-            self._starts += 1
-            starts = self._starts
-        try:
-            summary = self.gc(max(0, self.max_bytes - reserved))
-        except BaseException:
-            with self._size_lock:
-                self._scanning -= 1
-            raise
-        with self._size_lock:
-            self._scanning -= 1
-            if quiet and self._starts == starts:
-                self._disk_bytes = summary["size_bytes"]
-            else:
-                self._disk_bytes -= summary["freed_bytes"]
+        """Evict LRU entries until committed + reserved bytes fit."""
+        with self._lock:
+            reserved = self._reserved
+        summary = self.gc(max(0, self.max_bytes - reserved))
+        with self._lock:
             self.evictions += summary["evicted"]
             self.evicted_bytes += summary["freed_bytes"]
         return summary
 
     def stats(self) -> Dict[str, Any]:
-        return {
-            "max_bytes": self.max_bytes,
-            "approx_bytes": self.approx_bytes,
-            "entries": len(self),
-            "evictions": self.evictions,
-            "evicted_bytes": self.evicted_bytes,
-        }
+        with self._lock:
+            return {
+                "max_bytes": self.max_bytes,
+                "approx_bytes": self._account.total,
+                "entries": len(self._account.entries),
+                "evictions": self.evictions,
+                "evicted_bytes": self.evicted_bytes,
+            }
+
+
+#: An artifact's handle: the SHA-256 hex digest of its bytes.
+_ARTIFACT_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 class ArtifactStore:
@@ -199,7 +212,6 @@ class ArtifactStore:
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path_for(self, digest: str, suffix: str = "") -> Path:
         return self.root / digest[:2] / f"{digest}{suffix}"
@@ -207,31 +219,10 @@ class ArtifactStore:
     def put_bytes(self, data: bytes, suffix: str = "") -> str:
         digest = hashlib.sha256(data).hexdigest()
         path = self._path_for(digest, suffix)
-        if path.exists():
+        if not path.exists():
             # Content-addressed: an existing path IS the same bytes.
-            # Touch it so LRU gc sees the reuse.
-            try:
-                os.utime(path)
-            except OSError:
-                pass
-            return digest
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent),
-            prefix=f".tmp-{os.getpid()}-{threading.get_ident()}-",
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_atomic(path, data)
         return digest
 
     def put_json(self, payload: Any, suffix: str = ".json") -> str:
@@ -241,7 +232,13 @@ class ArtifactStore:
         return self.put_bytes(data, suffix)
 
     def find(self, digest: str) -> Optional[Path]:
-        """The blob's path (any suffix), or None when absent."""
+        """The blob's path (any suffix), or None when absent.
+
+        ``digest`` may come straight from a URL: anything but a full
+        lowercase hex digest is not found, never a glob pattern.
+        """
+        if not _ARTIFACT_DIGEST.fullmatch(digest):
+            return None
         shard = self.root / digest[:2]
         if not shard.is_dir():
             return None
@@ -268,51 +265,15 @@ class ArtifactStore:
         return self.find(digest) is not None
 
     # -- maintenance -----------------------------------------------------
-    def _blob_stats(self) -> List[Tuple[Path, int, int]]:
-        stats: List[Tuple[Path, int, int]] = []
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for path in sorted(shard.iterdir()):
-                if path.name.startswith(".tmp-"):
-                    continue
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                stats.append((path, stat.st_size, stat.st_mtime_ns))
-        stats.sort(key=lambda item: item[2])
-        return stats
-
-    def iter_digests(self) -> Iterator[str]:
-        for path, _, _ in self._blob_stats():
-            yield path.name.split(".", 1)[0]
+    def _blob_sizes(self) -> List[int]:
+        return [
+            path.stat().st_size
+            for path in self.root.glob("*/*")
+            if not path.name.startswith(".tmp-")
+        ]
 
     def size_bytes(self) -> int:
-        return sum(size for _, size, _ in self._blob_stats())
+        return sum(self._blob_sizes())
 
     def __len__(self) -> int:
-        return len(self._blob_stats())
-
-    def gc(self, max_bytes: int) -> Dict[str, Any]:
-        """Evict least-recently-used blobs until ≤ ``max_bytes``."""
-        with self._lock:
-            stats = self._blob_stats()
-            total = sum(size for _, size, _ in stats)
-            evicted = 0
-            freed = 0
-            for path, size, _ in stats:
-                if total - freed <= max(0, int(max_bytes)):
-                    break
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                evicted += 1
-                freed += size
-            return {
-                "evicted": evicted,
-                "freed_bytes": freed,
-                "kept": len(stats) - evicted,
-                "size_bytes": total - freed,
-            }
+        return len(self._blob_sizes())

@@ -228,6 +228,24 @@ class TestCacheCommand:
         assert rc == 0
         assert "evicted 0 entry(ies)" in capsys.readouterr().out
 
+    def test_gc_counts_array_sidecars(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        for seed in ("1", "2", "3"):
+            assert main(
+                ["sweep", "test.array", "--seed", seed, "--quiet",
+                 "--cache-dir", str(cache_dir)]
+            ) == 0
+        rc = main(["cache", "gc", str(cache_dir), "--max-bytes", "500000"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        files = list(cache_dir.glob("test.array-*.json"))
+        files += list((cache_dir / "arrays").iterdir())
+        on_disk = sum(path.stat().st_size for path in files)
+        assert on_disk <= 500000
+        assert f"{on_disk} bytes on disk" in out
+        assert main(["cache", "ls", str(cache_dir)]) == 0
+        assert f"{on_disk} bytes with 1 sidecar(s)" in capsys.readouterr().out
+
     def test_gc_then_sweep_recomputes_evicted(self, tmp_path, capsys):
         cache_dir = self._warm_cache(tmp_path)
         main(["cache", "gc", str(cache_dir), "--max-bytes", "0"])

@@ -143,6 +143,28 @@ class TestErrorMapping:
             client._request("GET", "/v1/nope")
         assert info.value.status == 404
 
+    def test_artifact_lookup_takes_only_a_full_digest(self, stack):
+        handle, client = stack
+        import http.client
+
+        record = client.submit(["test.echo"], seed=5)
+        digest = client.wait(record["id"], timeout=60)["result_digest"]
+
+        def status(name):
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port)
+            try:
+                conn.request("GET", f"/v1/artifacts/{name}")
+                return conn.getresponse().status
+            finally:
+                conn.close()
+
+        assert status(digest) == 200
+        for name in (
+            digest[:2] + "[0-9a-f]", digest[:2] + "*", digest[:-1],
+            digest.upper(),
+        ):
+            assert status(name) == 404, name
+
     def test_result_before_settled_is_409(self, tmp_path):
         config = ServeConfig(
             data_dir=tmp_path / "serve409", port=0, max_concurrency=1
