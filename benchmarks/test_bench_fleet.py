@@ -5,6 +5,11 @@ generation, UE-major 2D-batched kernels, streaming reducers, partial
 merge — serially and through the batch-lease engine, and emits
 ``BENCH_fleet.json`` at the repo root.
 
+It also reports ``serial_minflt_per_ue``: minor page faults of the
+serial run (``getrusage`` ``ru_minflt`` delta) per simulated UE, the
+cost of computing into freshly mapped memory. It is reported, not
+gated.
+
 Alongside throughput it asserts the pipeline's load-bearing contract:
 the sharded-parallel summary is bit-identical to the serial one
 (``fleet.shards`` provenance aside), and a shard partial stays small
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import resource
 import time
 
 from conftest import emit, emit_json
@@ -49,12 +55,17 @@ def _canon(summary: dict) -> str:
     return json.dumps(comparable, sort_keys=True)
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _run_serial(spec: FleetSpec) -> tuple:
     from repro.fleet import run_fleet
 
+    faults = _minflt()
     start = time.perf_counter()
     summary = run_fleet(spec, shards=1)
-    return summary, time.perf_counter() - start
+    return summary, time.perf_counter() - start, _minflt() - faults
 
 
 def _run_parallel(spec: FleetSpec) -> tuple:
@@ -69,7 +80,7 @@ def _run_parallel(spec: FleetSpec) -> tuple:
 
 def _measure() -> dict:
     spec = _spec()
-    serial_summary, serial_s = _run_serial(spec)
+    serial_summary, serial_s, serial_minflt = _run_serial(spec)
     parallel_summary, parallel_s = _run_parallel(spec)
     assert _canon(serial_summary) == _canon(parallel_summary), (
         "sharded-parallel fleet summary diverged from serial"
@@ -78,6 +89,7 @@ def _measure() -> dict:
         "serial_summary": serial_summary,
         "serial_ues_per_s": N_UES / serial_s,
         "parallel_ues_per_s": N_UES / parallel_s,
+        "serial_minflt_per_ue": serial_minflt / N_UES,
     }
 
 
@@ -97,6 +109,7 @@ def test_fleet_ues_per_second(benchmark):
     results = {
         "serial_ues_per_s": round(measured["serial_ues_per_s"], 1),
         "parallel_ues_per_s": round(measured["parallel_ues_per_s"], 1),
+        "serial_minflt_per_ue": round(measured["serial_minflt_per_ue"], 2),
         "partial_bytes": partial_bytes,
     }
     payload = {
@@ -118,6 +131,8 @@ def test_fleet_ues_per_second(benchmark):
                 f"serial:   {results['serial_ues_per_s']:>9.1f} UEs/s",
                 f"parallel: {results['parallel_ues_per_s']:>9.1f} UEs/s "
                 f"({SHARDS} shards, {WORKERS} workers)",
+                f"faults:   {results['serial_minflt_per_ue']:>9.2f} "
+                f"minor page faults/UE (serial)",
                 f"partial:  {partial_bytes} bytes/shard",
                 f"walk mmWave RSRP p50: {walk['quantiles']['50']:.2f} dBm",
                 f"written to {path.name}",

@@ -488,11 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip replaying the submission journal on startup",
     )
     serve.add_argument(
-        "--trace",
-        action="store_true",
-        help="record hierarchical spans into each job's ledger",
-    )
-    serve.add_argument(
         "--job-workers",
         type=int,
         default=1,
@@ -1002,7 +997,6 @@ def _cmd_serve(args) -> int:
             timeout_s=args.timeout,
             retries=args.retries,
             replay_journal=not args.no_replay,
-            trace=args.trace,
             job_workers=args.job_workers,
             lease_size=args.lease_size,
             backend=args.backend,

@@ -28,7 +28,7 @@ radius as the out-of-coverage fallback — the same contract as
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -166,57 +166,59 @@ class FleetScenario:
     # -- trajectories ------------------------------------------------------
 
     def positions(
-        self, ue: np.ndarray, mobility: np.ndarray
+        self,
+        ue: np.ndarray,
+        mobility: np.ndarray,
+        out: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(x, y, speed)`` matrices of shape ``(len(ue), ticks)``.
 
         Walkers move in loop coordinates (their serving towers are
         placed in the same frame, so an absolute home offset would
         cancel out of every distance); drivers and stationary UEs live
-        in city coordinates ``[0, city_extent_m)^2``.
+        in city coordinates ``[0, city_extent_m)^2``. ``out`` takes
+        three such matrices to fill in place of fresh ones.
         """
         spec = self.spec
         ue = np.asarray(ue, dtype=np.int64)
         t_grid = np.arange(spec.ticks, dtype=float) * spec.dt_s
-        n = ue.shape[0]
-        x = np.empty((n, spec.ticks), dtype=float)
-        y = np.empty((n, spec.ticks), dtype=float)
-        speed = np.zeros((n, spec.ticks), dtype=float)
+        if out is None:
+            out = tuple(np.empty((ue.shape[0], spec.ticks)) for _ in range(3))
+        x, y, speed = out
 
         walk = mobility == MOB_WALK
         if walk.any():
-            rows = ue[walk]
             phase = (
-                uniforms(spec.key, STREAM_PHASE, rows, 0)
+                uniforms(spec.key, STREAM_PHASE, ue[walk], 0)
                 * self.loop_duration_s
             )
-            times = (t_grid[None, :] + phase[:, None]) % self.loop_duration_s
-            xs, ys, sp = self.route.positions_at(times)
-            x[walk], y[walk], speed[walk] = xs, ys, sp
+            times = np.add(t_grid[None, :], phase[:, None])
+            np.remainder(times, self.loop_duration_s, out=times)
+            x[walk], y[walk], speed[walk] = self.route.positions_at(times)
 
-        home_needed = ~walk
-        if home_needed.any():
-            rows = ue[home_needed]
+        home = ~walk
+        if home.any():
+            rows = ue[home]
             hx = uniforms(spec.key, STREAM_HOME_X, rows, 0) * spec.city_extent_m
             hy = uniforms(spec.key, STREAM_HOME_Y, rows, 0) * spec.city_extent_m
-            drive = mobility[home_needed] == MOB_DRIVE
-            sub_x = np.repeat(hx[:, None], spec.ticks, axis=1)
-            sub_y = np.repeat(hy[:, None], spec.ticks, axis=1)
+            x[home] = hx[:, None]
+            y[home] = hy[:, None]
+            speed[home] = 0.0
+            drive = mobility[home] == MOB_DRIVE
             if drive.any():
-                drows = rows[drive]
                 heading = (
-                    uniforms(spec.key, STREAM_HEADING, drows, 0) * 2.0 * np.pi
+                    uniforms(spec.key, STREAM_HEADING, rows[drive], 0)
+                    * 2.0 * np.pi
                 )
                 step = DRIVE_SPEED_MPS * t_grid[None, :]
-                sub_x[drive] = (
+                drive_full = mobility == MOB_DRIVE
+                x[drive_full] = (
                     hx[drive][:, None] + np.cos(heading)[:, None] * step
                 ) % spec.city_extent_m
-                sub_y[drive] = (
+                y[drive_full] = (
                     hy[drive][:, None] + np.sin(heading)[:, None] * step
                 ) % spec.city_extent_m
-            x[home_needed], y[home_needed] = sub_x, sub_y
-            drive_full = mobility == MOB_DRIVE
-            speed[drive_full] = DRIVE_SPEED_MPS
+                speed[drive_full] = DRIVE_SPEED_MPS
         return x, y, speed
 
     # -- serving distances -------------------------------------------------
@@ -241,7 +243,12 @@ class FleetScenario:
     def _walker_distances(
         self, ue: np.ndarray, x: np.ndarray, y: np.ndarray, band: Band
     ) -> np.ndarray:
-        """Nearest-in-coverage distance to the UE's three loop towers."""
+        """Nearest-in-coverage distance to the UE's three loop towers.
+
+        A running minimum over the towers, then the coverage radius
+        as the cap: a UE whose nearest tower is out of coverage falls
+        back to exactly ``coverage_m``.
+        """
         spec = self.spec
         jitter = normals(
             spec.key,
@@ -250,14 +257,14 @@ class FleetScenario:
             np.arange(2 * WALK_TOWER_COUNT)[None, :],
         ).reshape(-1, WALK_TOWER_COUNT, 2) * WALK_TOWER_JITTER_M
         towers = self.walk_tower_base[None, :, :] + jitter  # (U, 3, 2)
-        coverage_m = band.coverage_km * 1000.0
-        d = np.hypot(
-            x[:, None, :] - towers[:, :, 0][:, :, None],
-            y[:, None, :] - towers[:, :, 1][:, :, None],
-        )  # (U, towers, T)
-        d = np.where(d > coverage_m, np.inf, d)
-        best = d.min(axis=1)
-        return np.where(np.isinf(best), coverage_m, best)
+        dx = x - towers[:, 0, 0][:, None]
+        dy = y - towers[:, 0, 1][:, None]
+        best = np.hypot(dx, dy)
+        for k in range(1, WALK_TOWER_COUNT):
+            np.subtract(x, towers[:, k, 0][:, None], out=dx)
+            np.subtract(y, towers[:, k, 1][:, None], out=dy)
+            np.minimum(best, np.hypot(dx, dy, out=dx), out=best)
+        return np.minimum(best, band.coverage_km * 1000.0, out=best)
 
     def serving_distances(
         self,

@@ -21,7 +21,7 @@ merges are integer additions and order-invariant outright.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from repro.obs.reducers import FixedHistogram, QuantileSketch, StreamMoments
 from repro.obs.trace import span as trace_span
 from repro.radio.signal import RSRP_MAX_DBM, RSRP_MIN_DBM
 
-#: UEs simulated per tile; bounds peak shard memory at roughly
-#: TILE_UES x ticks x ~10 float64 matrices (~40 MiB at 240 ticks).
+#: UEs simulated per tile. A shard allocates six (TILE_UES, ticks)
+#: float64 tile buffers once (x, y, speed, rsrp, dl, power: ~23 MiB at
+#: 240 ticks) and every tile writes into views of them; the tile's
+#: temporaries add a few more tile-sized matrices at peak.
 TILE_UES = 2048
 
 #: Chunk size for the counter-based membership prefix scan.
@@ -41,14 +43,21 @@ _PREFIX_CHUNK = 1 << 18
 
 PARTIAL_SCHEMA = 1
 
-#: The fleet's reduced metric groups. ``hist`` marks groups that also
-#: keep a fixed-bin histogram (RSRP dBm bins, 0.5 dB wide).
-GROUPS: Dict[str, Dict[str, Any]] = {
-    "rsrp_all": {"hist": (RSRP_MIN_DBM, RSRP_MAX_DBM, 160)},
-    "dl_all": {"hist": None},
-    "power_mw": {"hist": None},
-    "walk_mmwave_rsrp": {"hist": (RSRP_MIN_DBM, RSRP_MAX_DBM, 160)},
-    "speedtest_mmwave_dl": {"hist": None},
+#: The fleet's reduced metric groups, each with the tile matrix it
+#: reads (``rsrp``, ``dl`` or ``power``); group_member_masks picks its
+#: UEs.
+GROUPS: Dict[str, str] = {
+    "rsrp_all": "rsrp",
+    "dl_all": "dl",
+    "power_mw": "power",
+    "walk_mmwave_rsrp": "rsrp",
+    "speedtest_mmwave_dl": "dl",
+}
+
+#: Fixed-bin histogram every group reading a matrix keeps, if any:
+#: RSRP in dBm bins 0.5 dB wide.
+HISTOGRAMS: Dict[str, Tuple[float, float, int]] = {
+    "rsrp": (RSRP_MIN_DBM, RSRP_MAX_DBM, 160),
 }
 
 
@@ -89,22 +98,14 @@ def member_leaves_before(
 
 def _new_accumulators(origins: Mapping[str, int]) -> Dict[str, Dict[str, Any]]:
     accs: Dict[str, Dict[str, Any]] = {}
-    for name, config in GROUPS.items():
+    for name, source in GROUPS.items():
         accs[name] = {
             "moments": StreamMoments(origin=origins[name]),
             "sketch": QuantileSketch(),
         }
-        if config["hist"] is not None:
-            lo, hi, nbins = config["hist"]
-            accs[name]["hist"] = FixedHistogram(lo, hi, nbins)
+        if source in HISTOGRAMS:
+            accs[name]["hist"] = FixedHistogram(*HISTOGRAMS[source])
     return accs
-
-
-def _feed(group: Dict[str, Any], values: np.ndarray) -> None:
-    group["moments"].add(values)
-    group["sketch"].add(values)
-    if "hist" in group:
-        group["hist"].add(values)
 
 
 def run_shard_job(spec: Mapping[str, Any], start: int, stop: int) -> Dict[str, Any]:
@@ -129,13 +130,12 @@ def run_shard_job(spec: Mapping[str, Any], start: int, stop: int) -> Dict[str, A
             "mobility": {name: 0 for name in MOBILITY_KINDS},
             "app": {name: 0 for name in APP_KINDS},
         }
+        # x, y, speed, rsrp, dl, power: one set of tile buffers per
+        # shard; a shorter last tile uses a prefix of each.
+        buffers = np.empty((6, min(TILE_UES, stop - start), ticks))
         for lo in range(start, stop, TILE_UES):
-            _run_tile(
-                scenario,
-                np.arange(lo, min(lo + TILE_UES, stop), dtype=np.int64),
-                accs,
-                tallies,
-            )
+            ue = np.arange(lo, min(lo + TILE_UES, stop), dtype=np.int64)
+            _run_tile(scenario, ue, buffers[:, : ue.shape[0]], accs, tallies)
     return {
         "schema": PARTIAL_SCHEMA,
         "start": int(start),
@@ -154,23 +154,24 @@ def run_shard_job(spec: Mapping[str, Any], start: int, stop: int) -> Dict[str, A
 def _run_tile(
     scenario: FleetScenario,
     ue: np.ndarray,
+    buffers: np.ndarray,
     accs: Dict[str, Dict[str, Any]],
     tallies: Dict[str, Dict[str, int]],
 ) -> None:
     """Simulate one tile of UEs and fold it into the accumulators.
 
-    The tile's full (UEs x ticks) rsrp/downlink/power matrices are
-    assembled network group by network group, then fed to the reducers
-    in ascending (UE, tick) order — the global leaf order every
+    ``buffers`` holds the tile's six ``(UEs, ticks)`` matrices (x, y,
+    speed, rsrp, dl, power). The rsrp/downlink/power matrices are
+    assembled network group by network group, then each is mapped to
+    sketch keys (and RSRP to histogram bins) once, and every group
+    reading it counts its member rows of those codes. Moments take the
+    rows in ascending (UE, tick) order — the global leaf order every
     ``PairwiseSum`` origin is anchored to.
     """
     spec = scenario.spec
     attrs = scenario.assignments(ue)
-    x, y, speed = scenario.positions(ue, attrs["mobility"])
-    n = ue.shape[0]
-    rsrp = np.empty((n, spec.ticks), dtype=float)
-    dl = np.empty((n, spec.ticks), dtype=float)
-    power = np.empty((n, spec.ticks), dtype=float)
+    x, y, speed, rsrp, dl, power = buffers
+    scenario.positions(ue, attrs["mobility"], out=(x, y, speed))
 
     for net_idx, network in enumerate(scenario.networks):
         rows = attrs["network"] == net_idx
@@ -195,17 +196,23 @@ def _run_tile(
         power[rows] = power_matrix(scenario, network, group_dl, group_rsrp)
 
     masks = group_member_masks(scenario, attrs)
-    for name, mask in masks.items():
-        if not mask.any():
-            continue
-        source = {
-            "rsrp_all": rsrp,
-            "walk_mmwave_rsrp": rsrp,
-            "dl_all": dl,
-            "speedtest_mmwave_dl": dl,
-            "power_mw": power,
-        }[name]
-        _feed(accs[name], source[mask])
+    for source, matrix in (("rsrp", rsrp), ("dl", dl), ("power", power)):
+        names = [name for name, read in GROUPS.items() if read == source]
+        first = accs[names[0]]
+        keys = first["sketch"].keys(matrix)
+        bins = first["hist"].bins(matrix) if "hist" in first else None
+        for name in names:
+            group, mask = accs[name], masks[name]
+            values, row_keys, row_bins = matrix, keys, bins
+            if not mask.all():
+                if not mask.any():
+                    continue
+                values, row_keys = matrix[mask], keys.rows(mask)
+                row_bins = None if bins is None else bins[mask]
+            group["moments"].add(values)
+            group["sketch"].add_keys(row_keys)
+            if row_bins is not None:
+                group["hist"].add_bins(row_bins)
 
     for net_idx, key in enumerate(scenario.network_keys):
         tallies["network"][key] += int((attrs["network"] == net_idx).sum())
@@ -217,6 +224,7 @@ def _run_tile(
 
 __all__ = [
     "GROUPS",
+    "HISTOGRAMS",
     "PARTIAL_SCHEMA",
     "TILE_UES",
     "group_member_masks",

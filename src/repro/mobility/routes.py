@@ -109,10 +109,12 @@ class Route:
         Returns aligned ``(x, y, speed)`` arrays, bit-identical to the
         scalar lookup at each grid point (same segment selection over
         the same zero-length-segment-free tables, including the clamp
-        to the route end with speed 0).
+        to the route end with speed 0). Each output is gathered from
+        1-D per-segment tables, so the only temporaries are a few
+        arrays shaped like ``times_s``.
         """
         times_s = np.asarray(times_s, dtype=float)
-        if np.any(times_s < 0):
+        if times_s.size and times_s.min() < 0:
             raise ValueError("t_s must be non-negative")
         starts, ends, speeds, durations = self._traversal_arrays()
         end_point = np.asarray(self.waypoints, dtype=float)[-1]
@@ -122,20 +124,33 @@ class Route:
             xs = np.full(times_s.shape, float(end_point[0]))
             ys = np.full(times_s.shape, float(end_point[1]))
             return xs, ys, np.zeros(times_s.shape)
+        shape = times_s.shape
+        times_s = times_s.reshape(-1)
         boundaries = np.cumsum(durations)
+        elapsed = np.concatenate([[0.0], boundaries[:-1]])
+        deltas = ends - starts
         # First segment whose end boundary is >= t (matching the scalar
         # path's `t <= elapsed + duration` test); == n_segments means
         # past the route end.
         seg = np.searchsorted(boundaries, times_s, side="left")
         past_end = seg >= durations.shape[0]
-        seg_c = np.minimum(seg, durations.shape[0] - 1)
-        elapsed = np.concatenate([[0.0], boundaries[:-1]])[seg_c]
-        frac = ((times_s - elapsed) / durations[seg_c])[..., None]
-        position = starts[seg_c] + frac * (ends[seg_c] - starts[seg_c])
-        xs = np.where(past_end, end_point[0], position[..., 0])
-        ys = np.where(past_end, end_point[1], position[..., 1])
-        out_speeds = np.where(past_end, 0.0, speeds[seg_c])
-        return xs, ys, out_speeds
+        np.minimum(seg, durations.shape[0] - 1, out=seg)
+        frac = elapsed.take(seg)
+        np.subtract(times_s, frac, out=frac)
+        scratch = durations.take(seg)
+        frac /= scratch
+        xs = deltas[:, 0].take(seg)
+        xs *= frac
+        xs += starts[:, 0].take(seg, out=scratch, mode="clip")
+        ys = deltas[:, 1].take(seg)
+        ys *= frac
+        ys += starts[:, 1].take(seg, out=scratch, mode="clip")
+        out_speeds = speeds.take(seg)
+        if past_end.any():
+            xs[past_end] = end_point[0]
+            ys[past_end] = end_point[1]
+            out_speeds[past_end] = 0.0
+        return xs.reshape(shape), ys.reshape(shape), out_speeds.reshape(shape)
 
 
 def walking_loop(side_m: float = 400.0) -> Route:

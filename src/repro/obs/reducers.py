@@ -23,6 +23,13 @@ Four reducers cover the fleet's summary surface:
   sketch with **relative** error ≤ ``alpha`` (default 1%); integer
   bucket counts make merging exact and fully order-invariant.
 
+The two counting reducers split ``add`` into a mapping pass and a
+counting pass: :meth:`QuantileSketch.keys` / :meth:`FixedHistogram.bins`
+map a batch to integer bucket codes once, and ``add_keys`` /
+``add_bins`` count codes with one ``bincount``. A caller that reduces
+several row subsets of one matrix (the fleet's per-group feeds) maps
+the matrix once and counts selected rows of the codes.
+
 Every reducer round-trips through ``to_state()`` / ``from_state()``
 as plain JSON types (string dict keys, lists, numbers), so shard
 partials survive the engine's result cache unchanged. Error bounds
@@ -32,7 +39,16 @@ and the memory model are documented in docs/fleet.md.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -41,6 +57,7 @@ __all__ = [
     "StreamMoments",
     "FixedHistogram",
     "QuantileSketch",
+    "SketchKeys",
 ]
 
 
@@ -270,23 +287,41 @@ class FixedHistogram:
     def edges(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.nbins + 1)
 
+    def bins(self, values) -> np.ndarray:
+        """Bin code per value, shaped like ``values`` (int64).
+
+        ``0 .. nbins - 1`` are the bins over ``[lo, hi)``; ``nbins``
+        is the underflow tail (``< lo``) and ``nbins + 1`` the overflow
+        tail (``>= hi``). The tails are decided by those comparisons,
+        not by the float index, which can round across ``hi``. NaN
+        raises: it belongs to no bin and no tail.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        index = np.subtract(values, self.lo)
+        with np.errstate(over="ignore"):  # far-out values: a tail anyway
+            index /= (self.hi - self.lo) / self.nbins
+        if index.size and math.isnan(index.max()):
+            raise ValueError("FixedHistogram cannot absorb NaN")
+        np.clip(index, 0.0, self.nbins - 1, out=index)
+        codes = np.empty(values.shape, dtype=np.int64)
+        np.copyto(codes, index, casting="unsafe")
+        np.copyto(codes, self.nbins, where=values < self.lo)
+        np.copyto(codes, self.nbins + 1, where=values >= self.hi)
+        return codes
+
+    def add_bins(self, codes: np.ndarray) -> None:
+        """Count codes from :meth:`bins` of a histogram with these bins."""
+        counts = np.bincount(
+            np.asarray(codes).reshape(-1), minlength=self.nbins + 2
+        )
+        if counts.shape[0] != self.nbins + 2:
+            raise ValueError("bin codes come from a histogram with more bins")
+        self.counts += counts[: self.nbins]
+        self.underflow += int(counts[self.nbins])
+        self.overflow += int(counts[self.nbins + 1])
+
     def add(self, values) -> None:
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.shape[0] == 0:
-            return
-        under = values < self.lo
-        over = values >= self.hi
-        self.underflow += int(under.sum())
-        self.overflow += int(over.sum())
-        inside = values[~(under | over)]
-        if inside.shape[0]:
-            width = (self.hi - self.lo) / self.nbins
-            idx = np.minimum(
-                ((inside - self.lo) / width).astype(np.int64), self.nbins - 1
-            )
-            self.counts += np.bincount(idx, minlength=self.nbins).astype(
-                np.int64
-            )
+        self.add_bins(self.bins(values))
 
     def merge(self, other: "FixedHistogram") -> None:
         if (other.lo, other.hi, other.nbins) != (self.lo, self.hi, self.nbins):
@@ -360,31 +395,55 @@ class QuantileSketch:
             sum(self.pos.values()) + sum(self.neg.values()) + self.zero
         )
 
-    def _keys(self, magnitudes: np.ndarray) -> np.ndarray:
-        return np.ceil(
-            np.log(magnitudes) / self._log_gamma - 1e-12
-        ).astype(np.int64)
+    def keys(self, values) -> "SketchKeys":
+        """Map ``values`` to bucket codes once (see :class:`SketchKeys`).
+
+        A value of magnitude ``m >= min_value`` lands in bucket
+        ``ceil(log(m) / log(gamma) - 1e-12)``; smaller magnitudes land
+        in the zero bucket. Non-finite values raise.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        mapping = (self.alpha, self.min_value)
+        if values.size == 0:
+            return SketchKeys(np.zeros(values.shape, np.int64), 0, mapping)
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+            raise ValueError("QuantileSketch cannot absorb non-finite values")
+        logs = np.abs(values)
+        tiny = logs < self.min_value
+        # Clamping changes only zero-bucket values, whose keys are dropped.
+        np.maximum(logs, self.min_value, out=logs)
+        np.log(logs, out=logs)
+        logs /= self._log_gamma
+        logs -= 1e-12
+        codes = np.empty(values.shape, dtype=np.int64)
+        np.ceil(logs, out=codes, casting="unsafe")
+        lowest = int(codes.min())
+        codes *= 2
+        codes += 1 - 2 * lowest
+        codes += values < 0
+        np.copyto(codes, 0, where=tiny)
+        return SketchKeys(codes, lowest, mapping)
+
+    def add_keys(self, keys: "SketchKeys") -> None:
+        """Count codes from :meth:`keys` of a sketch with this mapping."""
+        if keys.mapping != (self.alpha, self.min_value):
+            raise ValueError("keys were mapped for another alpha/min_value")
+        counts = np.bincount(keys.codes.reshape(-1))
+        if counts.shape[0] == 0:
+            return
+        self.zero += int(counts[0])
+        for store, column in (
+            (self.pos, counts[1::2]),
+            (self.neg, counts[2::2]),
+        ):
+            hit = np.flatnonzero(column)
+            for key, cnt in zip(
+                (hit + keys.lowest).tolist(), column[hit].tolist()
+            ):
+                store[key] = store.get(key, 0) + cnt
 
     def add(self, values) -> None:
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.shape[0] == 0:
-            return
-        if not np.isfinite(values).all():
-            raise ValueError("QuantileSketch cannot absorb non-finite values")
-        magnitudes = np.abs(values)
-        tiny = magnitudes < self.min_value
-        self.zero += int(tiny.sum())
-        for store, mask in (
-            (self.pos, (values > 0) & ~tiny),
-            (self.neg, (values < 0) & ~tiny),
-        ):
-            if not mask.any():
-                continue
-            keys, counts = np.unique(
-                self._keys(magnitudes[mask]), return_counts=True
-            )
-            for key, cnt in zip(keys.tolist(), counts.tolist()):
-                store[key] = store.get(key, 0) + cnt
+        self.add_keys(self.keys(values))
 
     def merge(self, other: "QuantileSketch") -> None:
         if (other.alpha, other.min_value) != (self.alpha, self.min_value):
@@ -431,11 +490,13 @@ class QuantileSketch:
         return [self.quantile(q) for q in qs]
 
     def to_state(self) -> Dict[str, Any]:
+        """Plain-JSON state; buckets in ascending key order, so its bytes
+        do not depend on the order or batching values arrived in."""
         return {
             "alpha": self.alpha,
             "min_value": self.min_value,
-            "pos": {str(k): v for k, v in self.pos.items()},
-            "neg": {str(k): v for k, v in self.neg.items()},
+            "pos": {str(k): self.pos[k] for k in sorted(self.pos)},
+            "neg": {str(k): self.neg[k] for k in sorted(self.neg)},
             "zero": self.zero,
         }
 
@@ -447,3 +508,22 @@ class QuantileSketch:
         out.neg = {int(k): int(v) for k, v in state["neg"].items()}
         out.zero = int(state["zero"])
         return out
+
+
+class SketchKeys(NamedTuple):
+    """A batch of values mapped to :class:`QuantileSketch` buckets.
+
+    ``codes`` has the batch's shape: ``0`` for the zero bucket,
+    ``1 + 2 * (key - lowest)`` for a positive value in bucket ``key``
+    and one more for a negative one, so one ``bincount`` counts every
+    bucket of both signs. ``mapping`` is the ``(alpha, min_value)``
+    the codes were mapped with.
+    """
+
+    codes: np.ndarray
+    lowest: int
+    mapping: Tuple[float, float]
+
+    def rows(self, mask) -> "SketchKeys":
+        """The codes of the rows (first axis) that ``mask`` selects."""
+        return SketchKeys(self.codes[mask], self.lowest, self.mapping)

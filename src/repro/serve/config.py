@@ -55,7 +55,6 @@ class ServeConfig:
     default_tenant: str = "anonymous"
     replay_journal: bool = True
     drain_grace_s: float = 30.0
-    trace: bool = False
     lease_size: Optional[int] = None
     backend: Optional[str] = None
 

@@ -345,7 +345,6 @@ class ServeServer:
                 cache=self.cache,
                 code_version=self.code_version,
                 events=sink,
-                trace=self.config.trace or None,
                 lease_size=self.config.lease_size,
                 backend=request.backend or self.config.backend,
             )

@@ -27,7 +27,7 @@ import os
 import re
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 from typing import Union
 
 import numpy as np
@@ -207,11 +207,24 @@ class ArtifactStore:
     caller ever needs. Storing the same bytes twice is free (the
     second write sees the path already exists and skips the copy), so
     a thousand identical small-sweep results occupy one blob.
+
+    Blobs are never deleted, so the store counts them once: one scan at
+    start-up, then each put that lands a new blob adds it under one
+    lock, and ``len`` / ``size_bytes`` read the counts without touching
+    the directory.
     """
 
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        sizes = [
+            path.stat().st_size
+            for path in self.root.glob("*/*")
+            if not path.name.startswith(".tmp-")
+        ]
+        self._blobs = len(sizes)
+        self._bytes = sum(sizes)
 
     def _path_for(self, digest: str, suffix: str = "") -> Path:
         return self.root / digest[:2] / f"{digest}{suffix}"
@@ -222,7 +235,18 @@ class ArtifactStore:
         if not path.exists():
             # Content-addressed: an existing path IS the same bytes.
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, data)
+
+            def replace(tmp_name: str, target: Path) -> None:
+                # Racing writers of one digest land identical bytes; the
+                # first rename under the lock is the one that counts.
+                with self._lock:
+                    new = not target.exists()
+                    os.replace(tmp_name, target)
+                    if new:
+                        self._blobs += 1
+                        self._bytes += len(data)
+
+            _write_atomic(path, data, replace)
         return digest
 
     def put_json(self, payload: Any, suffix: str = ".json") -> str:
@@ -264,16 +288,10 @@ class ArtifactStore:
     def __contains__(self, digest: str) -> bool:
         return self.find(digest) is not None
 
-    # -- maintenance -----------------------------------------------------
-    def _blob_sizes(self) -> List[int]:
-        return [
-            path.stat().st_size
-            for path in self.root.glob("*/*")
-            if not path.name.startswith(".tmp-")
-        ]
-
     def size_bytes(self) -> int:
-        return sum(self._blob_sizes())
+        with self._lock:
+            return self._bytes
 
     def __len__(self) -> int:
-        return len(self._blob_sizes())
+        with self._lock:
+            return self._blobs

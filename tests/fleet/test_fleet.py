@@ -151,6 +151,26 @@ class TestShardInvariance:
             run_shard_job(spec.to_dict(), 5, 11)
 
 
+class TestShardTiles:
+    """A shard of many tiles equals the same shard run as one tile.
+
+    Tiles reuse one set of per-shard buffers; the short final tile
+    uses a prefix of them, so stale rows from the tile before must
+    never reach a reducer.
+    """
+
+    @pytest.mark.parametrize("tile", [7, 16])
+    def test_partial_is_byte_identical_to_one_tile(self, monkeypatch, tile):
+        import repro.fleet.shard as shard
+
+        spec = _small_spec(ues=61).to_dict()
+        start, stop = 5, 58  # 53 UEs: the last tile is short at 7 and 16
+        assert (stop - start) % tile and stop - start <= shard.TILE_UES
+        one_tile = json.dumps(run_shard_job(spec, start, stop))
+        monkeypatch.setattr(shard, "TILE_UES", tile)
+        assert json.dumps(run_shard_job(spec, start, stop)) == one_tile
+
+
 class TestEnginePath:
     def test_parallel_engine_matches_serial_and_caches(self, tmp_path):
         spec = _small_spec(ues=40)

@@ -111,6 +111,34 @@ class TestZeroLengthSegments:
             x, y, speed = route.position_at(float(t))
             assert (x, y, speed) == (xs[i], ys[i], speeds[i])
 
+    def test_walking_loop_scalar_vectorized_parity(self):
+        """The fleet's walker lookup: random phases wrapped on the loop,
+        the wrap itself, and every segment boundary one ulp either side."""
+        import numpy as np
+
+        route = walking_loop()
+        loop = route.duration_s
+        rng = np.random.default_rng(13)
+        grid = np.arange(40, dtype=float) * 0.5
+        phases = rng.uniform(0.0, loop, size=(6, 1))
+        wrapped = (grid[None, :] + phases) % loop
+        _, _, _, durations = route._traversal_arrays()
+        edges = np.concatenate([[0.0], np.cumsum(durations), [loop]])
+        near = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        )
+        times = np.concatenate(
+            [wrapped.ravel(), near[near >= 0.0], [loop + 3.0]]
+        )
+        for grid_times in (times, wrapped):
+            xs, ys, speeds = route.positions_at(grid_times)
+            assert xs.shape == ys.shape == speeds.shape == grid_times.shape
+            for i, t in enumerate(grid_times.ravel()):
+                x, y, speed = route.position_at(float(t))
+                assert (x, y, speed) == (
+                    xs.ravel()[i], ys.ravel()[i], speeds.ravel()[i]
+                ), f"t={t!r}"
+
     def test_positions_at_2d_time_grid(self):
         import numpy as np
 

@@ -17,6 +17,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.reducers import (
     FixedHistogram,
@@ -237,3 +239,148 @@ class TestQuantileSketch:
         )
         assert back.to_state() == sketch.to_state()
         assert back.quantile(50.0) == sketch.quantile(50.0)
+
+
+def _reference_sketch(values, alpha=0.01, min_value=1e-9):
+    """Bucket counts the sketch kept before keys and bins were split out:
+    per-sign ``np.unique`` over ``ceil(log_gamma |x| - 1e-12)``."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    log_gamma = math.log((1.0 + alpha) / (1.0 - alpha))
+    magnitudes = np.abs(values)
+    tiny = magnitudes < min_value
+    stores = {}
+    for sign, mask in (
+        ("pos", (values > 0) & ~tiny),
+        ("neg", (values < 0) & ~tiny),
+    ):
+        keys = np.ceil(
+            np.log(magnitudes[mask]) / log_gamma - 1e-12
+        ).astype(np.int64)
+        uniq, counts = np.unique(keys, return_counts=True)
+        stores[sign] = dict(zip(map(str, uniq.tolist()), counts.tolist()))
+    return {
+        "alpha": alpha,
+        "min_value": min_value,
+        "pos": stores["pos"],
+        "neg": stores["neg"],
+        "zero": int(tiny.sum()),
+    }
+
+
+def _reference_histogram(values, lo, hi, nbins):
+    """Counts from two tail masks and a truncated index over the rest."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    under = values < lo
+    over = values >= hi
+    inside = values[~(under | over)]
+    idx = np.minimum(
+        ((inside - lo) / ((hi - lo) / nbins)).astype(np.int64), nbins - 1
+    )
+    return {
+        "lo": float(lo),
+        "hi": float(hi),
+        "nbins": nbins,
+        "counts": np.bincount(idx, minlength=nbins).tolist(),
+        "underflow": int(under.sum()),
+        "overflow": int(over.sum()),
+    }
+
+
+@st.composite
+def _keyed_cases(draw):
+    """A (UEs x ticks) matrix, a row mask and the histogram bins to use.
+
+    Elements mix zeros of both signs, magnitudes around ``min_value``,
+    values exactly on ``lo``, ``hi`` and interior bin edges (and one ulp
+    either side), and arbitrary finite floats of both signs.
+    """
+    lo = draw(st.sampled_from([-140.0, 0.0, -1.0, 3.25]))
+    span = draw(st.sampled_from([80.0, 1.0, 0.3, 1000.0]))
+    nbins = draw(st.integers(1, 40))
+    hi = lo + span
+    edges = [lo + k * (hi - lo) / nbins for k in range(nbins + 1)]
+    specials = [0.0, -0.0, 1e-9, -1e-9, 5e-10, -5e-10, 1e-12, 5e-324, hi]
+    for edge in edges:
+        specials += [
+            edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)
+        ]
+    element = st.one_of(
+        st.sampled_from(specials),
+        st.floats(-1e4, 1e4),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    rows = draw(st.integers(1, 9))
+    ticks = draw(st.integers(1, 7))
+    matrix = np.array(
+        draw(st.lists(element, min_size=rows * ticks, max_size=rows * ticks)),
+        dtype=np.float64,
+    ).reshape(rows, ticks)
+    mask = draw(
+        st.one_of(
+            st.just([True] * rows),
+            st.just([False] * rows),
+            st.lists(st.booleans(), min_size=rows, max_size=rows),
+        )
+    )
+    return matrix, np.array(mask, dtype=bool), (lo, hi, nbins)
+
+
+class TestKeyedPath:
+    """Map a matrix once, count selected rows: same state as ``add``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_keyed_cases())
+    def test_keyed_rows_equal_add_of_selected_rows(self, case):
+        matrix, mask, bins = case
+        selected = matrix[mask]
+
+        keys = QuantileSketch().keys(matrix)
+        keyed_sketch = QuantileSketch()
+        keyed_sketch.add_keys(keys.rows(mask))
+        sketch = QuantileSketch()
+        sketch.add(selected)
+        state = sketch.to_state()
+        assert json.dumps(keyed_sketch.to_state()) == json.dumps(state)
+        reference = _reference_sketch(selected)
+        assert state == reference
+        assert list(state["pos"]) == sorted(reference["pos"], key=int)
+        assert list(state["neg"]) == sorted(reference["neg"], key=int)
+
+        codes = FixedHistogram(*bins).bins(matrix)
+        keyed_hist = FixedHistogram(*bins)
+        keyed_hist.add_bins(codes[mask])
+        hist = FixedHistogram(*bins)
+        hist.add(selected)
+        assert keyed_hist.to_state() == hist.to_state()
+        assert hist.to_state() == _reference_histogram(selected, *bins)
+
+        # An all-true mask feeds the matrix as is: same leaves, same order.
+        moments = StreamMoments(origin=3)
+        expected = StreamMoments(origin=3)
+        with np.errstate(over="ignore"):  # squares of huge floats
+            moments.add(matrix if mask.all() else selected)
+            expected.add(selected)
+        assert moments.to_state() == expected.to_state()
+
+    def test_keys_reject_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                QuantileSketch().keys(np.array([[1.0, bad], [2.0, 3.0]]))
+
+    def test_bins_reject_nan_and_keep_infinities_in_tails(self):
+        hist = FixedHistogram(0.0, 1.0, 4)
+        with pytest.raises(ValueError):
+            hist.bins([0.5, np.nan])
+        hist.add([-np.inf, np.inf, 0.5])
+        assert (hist.underflow, hist.overflow, hist.counts.tolist()) == (
+            1, 1, [0, 0, 1, 0]
+        )
+
+    def test_codes_from_another_mapping_are_rejected(self):
+        keys = QuantileSketch(alpha=0.02).keys([1.0, 2.0])
+        with pytest.raises(ValueError):
+            QuantileSketch().add_keys(keys)
+        with pytest.raises(ValueError):
+            FixedHistogram(0.0, 1.0, 2).add_bins(
+                FixedHistogram(0.0, 1.0, 8).bins([0.99])
+            )

@@ -15,6 +15,7 @@ from repro.engine import JobSpec
 from repro.serve.client import ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.http import run_in_thread
+from repro.serve.server import ServeServer
 from repro.serve.store import ArtifactStore, BoundedResultCache
 
 
@@ -364,3 +365,77 @@ class TestArtifactStore:
         assert len(set(results)) == 1
         assert len(store) == 1
         assert not list(tmp_path.rglob(".tmp-*"))
+
+
+def _forbid_scans(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("a directory was scanned")
+
+    for name in ("glob", "rglob", "iterdir"):
+        monkeypatch.setattr(Path, name, scan)
+    monkeypatch.setattr(os, "listdir", scan)
+    monkeypatch.setattr(os, "scandir", scan)
+
+
+def _racing_puts(store, payloads, writers=4):
+    """Every writer puts every payload, each from its own offset."""
+    errors = []
+
+    def writer(t):
+        try:
+            for n in range(len(payloads)):
+                store.put_bytes(payloads[(n + 3 * t) % len(payloads)])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=writer, args=(t,)) for t in range(writers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+
+
+class TestArtifactCounts:
+    """Blob counts are kept live: read without listing the store."""
+
+    PAYLOADS = [bytes([i]) * (100 + 7 * i) for i in range(12)]
+
+    def test_counts_match_a_fresh_scan_after_racing_puts(
+        self, tmp_path, monkeypatch
+    ):
+        ArtifactStore(tmp_path).put_bytes(self.PAYLOADS[0])
+        store = ArtifactStore(tmp_path)
+        _racing_puts(store, self.PAYLOADS)
+        _forbid_scans(monkeypatch)
+        counts = (len(store), store.size_bytes())
+        monkeypatch.undo()
+        fresh = ArtifactStore(tmp_path)
+        assert counts == (len(fresh), fresh.size_bytes())
+        assert counts == (12, sum(len(p) for p in self.PAYLOADS))
+
+    def test_server_stats_list_no_directory(self, tmp_path, monkeypatch):
+        config = ServeConfig(data_dir=tmp_path / "serve", port=0)
+        ArtifactStore(config.artifacts_dir).put_json({"before": "start"})
+        core = ServeServer(config)
+        try:
+            _racing_puts(core.artifacts, self.PAYLOADS)
+            _forbid_scans(monkeypatch)
+            stats = core.stats()
+            monkeypatch.undo()
+        finally:
+            core.close()
+        fresh = ArtifactStore(config.artifacts_dir)
+        assert stats["artifacts"] == {
+            "blobs": len(fresh),
+            "size_bytes": fresh.size_bytes(),
+        }
+        assert stats["artifacts"]["blobs"] == 13
