@@ -40,11 +40,22 @@ ArrayLike = Union[int, np.ndarray]
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer (uint64 in, uint64 out, elementwise)."""
-    z = (z + _GOLDEN).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, elementwise and in place on uint64 ``z``.
+
+    Returns ``z``. A numpy scalar cannot change in place, so for one the
+    result is a new scalar; arrays reuse one shift buffer throughout.
+    """
+    shifted = np.empty_like(z)
+    z += _GOLDEN
+    np.right_shift(z, np.uint64(30), out=shifted)
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def hash_u64(key: int, stream: int, row: ArrayLike, col: ArrayLike) -> np.ndarray:
@@ -55,20 +66,26 @@ def hash_u64(key: int, stream: int, row: ArrayLike, col: ArrayLike) -> np.ndarra
     (UE x tick) matrix in one pass. Each coordinate is folded through
     its own mixer round, so adjacent rows/cols decorrelate fully.
     """
-    row = np.asarray(row, dtype=np.uint64)
-    col = np.asarray(col, dtype=np.uint64)
+    # Copies: _mix works in place and must not touch the caller's arrays.
+    row = np.array(row, dtype=np.uint64)
+    col = np.array(col, dtype=np.uint64)
     # uint64 arithmetic wraps by design; silence numpy's scalar
     # overflow warnings so callers can run under -W error.
     with np.errstate(over="ignore"):
         h = _mix(np.uint64(key) + _GOLDEN * np.uint64(stream))
         h = _mix(h ^ _mix(row))
-        return _mix(h ^ _mix(col) ^ (col * _GOLDEN))
+        # The column-only term, at the columns' shape; only the last
+        # xor broadcasts to the full (rows x cols) matrix.
+        col_term = col * _GOLDEN
+        col_term ^= _mix(col)
+        return _mix(h ^ col_term)
 
 
 def uniforms(key: int, stream: int, row: ArrayLike, col: ArrayLike) -> np.ndarray:
     """float64 uniforms in ``[0, 1)``, pure in ``(key, stream, row, col)``."""
     bits = hash_u64(key, stream, row, col)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    bits >>= np.uint64(11)
+    return np.multiply(bits, _INV_2_53)
 
 
 #: Normal draws consume the uniform sub-streams ``_NORMAL_BASE +

@@ -109,6 +109,11 @@ class EventLog(EventSink):
     ``execute``); a ``ledger_tear`` fault writes half of one line and
     then drops every later event, simulating a writer killed
     mid-append.
+
+    :attr:`offset` is the byte offset just past the last line this log
+    wrote (0 until the first emit opens the file), so a reader can slice
+    the file between two offsets without meeting a partial line of this
+    writer.
     """
 
     def __init__(
@@ -157,6 +162,15 @@ class EventLog(EventSink):
             self._handle.flush()
             if self.fsync:
                 os.fsync(self._handle.fileno())
+
+    @property
+    def offset(self) -> int:
+        with self._lock:
+            if self._handle is None:
+                return 0
+            # Every line is flushed as it is written, so the descriptor
+            # sits just past this log's last line.
+            return os.lseek(self._handle.fileno(), 0, os.SEEK_CUR)
 
     def close(self) -> None:
         with self._lock:

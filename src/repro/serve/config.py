@@ -4,9 +4,9 @@ Everything the job server persists lives under one ``data_dir``::
 
     data_dir/
       cache/            shared engine ResultCache (size-bounded LRU)
-      artifacts/        content-addressed store for large outputs
-      jobs/<id>/        per-job run ledger + manifest
-      server-events.jsonl   server lifecycle ledger (serve_* events)
+      artifacts/        content-addressed store for results and manifests
+      server-events.jsonl   the one ledger: every job's engine events,
+                        stamped with the job's id, plus serve_* events
       jobs.jsonl        submission journal (restart replay)
       archive/          cross-run RunArchive; one record per drain
 
@@ -82,10 +82,6 @@ class ServeConfig:
         return self.root / "artifacts"
 
     @property
-    def jobs_dir(self) -> Path:
-        return self.root / "jobs"
-
-    @property
     def ledger_path(self) -> Path:
         return self.root / "server-events.jsonl"
 
@@ -97,10 +93,6 @@ class ServeConfig:
     def archive_dir(self) -> Path:
         return self.root / "archive"
 
-    def job_dir(self, job_id: str) -> Path:
-        return self.jobs_dir / job_id
-
     def ensure_layout(self) -> None:
-        for path in (self.root, self.cache_dir, self.artifacts_dir,
-                     self.jobs_dir):
+        for path in (self.root, self.cache_dir, self.artifacts_dir):
             path.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,8 @@ Routes::
     GET  /v1/jobs/<id>/result      result payload (values keyed like
                                    the sweep CLI's --json export)
     GET  /v1/jobs/<id>/manifest    the run manifest
-    GET  /v1/jobs/<id>/events      the job's run ledger (JSONL);
+    GET  /v1/jobs/<id>/events      the job's run ledger (JSONL), a
+                                   view of the server ledger;
                                    ?follow=1 streams chunked until the
                                    job settles (SSE-style tail)
     GET  /v1/events                the server-wide ledger (JSONL);
@@ -48,7 +49,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.serve.config import ServeConfig
 from repro.serve.jobs import BadRequest
 from repro.serve.scheduler import Draining, QueueFull
-from repro.serve.server import ServeServer
+from repro.serve.server import JobEventsView, ServeServer
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _STATUS_TEXT = {
@@ -258,7 +259,7 @@ class ServeHTTP:
             follow = query.get("follow") in ("1", "true", "yes")
             await self._tail_chunked(
                 writer,
-                lambda: str(core.config.ledger_path),
+                _file_reader(core.config.ledger_path),
                 follow,
                 lambda: core.closed,
             )
@@ -354,23 +355,21 @@ class ServeHTTP:
             raise HttpError(404, f"no job subresource {sub!r}")
 
     async def _stream_events(self, record, follow, writer) -> None:
-        """Send the job ledger as chunked JSONL; ``follow`` tails it."""
+        """Send the job's view of the server ledger as chunked JSONL."""
+        view = JobEventsView(self.core.config.ledger_path, record)
         await self._tail_chunked(
-            writer,
-            lambda: record.events_path,
-            follow,
-            lambda: record.terminal,
+            writer, view.read, follow, lambda: record.terminal
         )
 
-    async def _tail_chunked(self, writer, path_fn, follow, done_fn) -> None:
-        """Chunked-JSONL tail of a ledger file until ``done_fn()``.
+    async def _tail_chunked(self, writer, read, follow, done_fn) -> None:
+        """Chunked JSONL of what ``read()`` returns, until ``done_fn()``.
 
-        The existing EventLog file *is* the wire format — each chunk
-        carries whatever complete bytes have landed since the last
-        poll, and the stream ends when ``done_fn`` says the writer is
-        finished (job settled, server stopped) — or right away without
-        ``follow``. Serves both the per-job tail and the server-wide
-        ``/v1/events`` follow stream.
+        Each chunk carries what has landed since the last poll — the
+        server ledger's raw bytes, or one job's view of them — and the
+        stream ends when ``done_fn`` says the writer is finished (job
+        settled, server stopped), or right away without ``follow``.
+        ``done_fn`` is asked *before* each read, so the read after it
+        turns true sees the writer's final bytes.
         """
         head = (
             "HTTP/1.1 200 OK\r\n"
@@ -381,34 +380,41 @@ class ServeHTTP:
         )
         writer.write(head.encode("latin-1"))
         await writer.drain()
-        pos = 0
         self._active_tails += 1
         try:
             while True:
-                data = b""
-                path = path_fn()
-                if path is not None:
-                    try:
-                        with open(path, "rb") as handle:
-                            handle.seek(pos)
-                            data = handle.read()
-                    except OSError:
-                        data = b""
+                done = not follow or done_fn()
+                data = read()
                 if data:
-                    pos += len(data)
                     writer.write(
                         f"{len(data):x}\r\n".encode() + data + b"\r\n"
                     )
                     await writer.drain()
-                if not follow or done_fn():
-                    if done_fn() and data:
-                        continue  # one more sweep for late-flushed lines
+                if done:
                     break
                 await asyncio.sleep(0.05)
             writer.write(b"0\r\n\r\n")
             await writer.drain()
         finally:
             self._active_tails -= 1
+
+
+def _file_reader(path):
+    """A ``read()`` returning the bytes appended since its last call."""
+    pos = 0
+
+    def read() -> bytes:
+        nonlocal pos
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(pos)
+                data = handle.read()
+        except OSError:
+            return b""
+        pos += len(data)
+        return data
+
+    return read
 
 
 class ServerHandle:

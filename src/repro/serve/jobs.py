@@ -192,7 +192,11 @@ class JobRecord:
     error: Optional[str] = None
     result_digest: Optional[str] = None
     manifest_digest: Optional[str] = None
-    events_path: Optional[str] = None
+    #: Server-ledger offsets that bound the job's events: after its
+    #: ``serve_job_start`` line, and at settle (set before the state
+    #: turns terminal). See ``repro.serve.server.JobEventsView``.
+    ledger_start: Optional[int] = None
+    ledger_end: Optional[int] = None
     gauges: List[Dict[str, Any]] = field(default_factory=list)
     deduplicated: bool = False
 
@@ -230,8 +234,6 @@ class JobRecord:
             record["result_digest"] = self.result_digest
         if self.manifest_digest is not None:
             record["manifest_digest"] = self.manifest_digest
-        if self.events_path is not None:
-            record["events_path"] = self.events_path
         if self.gauges:
             record["gauges"] = self.gauges
         return record

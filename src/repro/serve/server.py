@@ -11,16 +11,17 @@ and tests drive it directly. One instance owns:
   manifests (content-addressed, deduplicated);
 * a :class:`~repro.serve.jobs.JobStore` + submission journal;
 * a :class:`~repro.serve.scheduler.FairScheduler` worker pool;
-* two ledgers: ``server-events.jsonl`` (every engine event from every
-  job, plus ``serve_*`` lifecycle events — ``repro stats`` reconciles
-  it) and one ``jobs/<id>/events.jsonl`` per job (what the streaming
-  endpoint tails).
+* one ledger, ``server-events.jsonl``: every engine event from every
+  job, stamped with the job's id (:data:`JOB_STAMP`), plus ``serve_*``
+  lifecycle events — ``repro stats`` reconciles it. A job's own ledger
+  is a view of it (:class:`JobEventsView`), so each event is written
+  and flushed once.
 
 Execution calls ``execute()`` from worker threads. Untimed sweeps run
 serially in the thread; a sweep with a timeout runs in one lease
 worker, whose main thread arms the engine's ``SIGALRM`` budget under
 the parent watchdog. Cache events route through a thread-local router
-so each job's ledger gets its own cache traffic even though the cache
+so each job's view gets its own cache traffic even though the cache
 is shared.
 
 Drain is a promise kept: :meth:`drain` stops admissions, every
@@ -32,14 +33,16 @@ submissions come straight back as 100% cache hits.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Union
 
 from repro.engine.cache import default_code_version
 from repro.engine.pool import execute
 from repro.obs.events import EventLog, EventSink
-from repro.obs.manifest import build_manifest, write_manifest
+from repro.obs.manifest import build_manifest
 from repro.serve.config import ServeConfig
 from repro.serve.jobs import BadRequest, JobRecord, JobRequest, JobStore
 from repro.serve.scheduler import Draining, FairScheduler, QueueFull
@@ -62,15 +65,81 @@ SERVE_EVENT_TYPES = frozenset(
 )
 
 
-class TeeSink(EventSink):
-    """Forward each event to several sinks (per-job log + server ledger)."""
+#: The key that stamps each of a job's engine events with the job's id
+#: in the server ledger. The ``serve_*`` lifecycle events name their job
+#: as ``job_id``; a key of its own keeps them out of the job's view.
+JOB_STAMP = "serve_job"
 
-    def __init__(self, *sinks: EventSink) -> None:
-        self.sinks = [sink for sink in sinks if sink is not None]
+
+class JobStampSink(EventSink):
+    """Write a job's engine events to the server ledger, stamped."""
+
+    def __init__(self, ledger: EventSink, job_id: str) -> None:
+        self.ledger = ledger
+        self.job_id = job_id
 
     def emit(self, event: str, **fields: Any) -> None:
-        for sink in self.sinks:
-            sink.emit(event, **fields)
+        self.ledger.emit(event, **{JOB_STAMP: self.job_id}, **fields)
+
+
+class JobEventsView:
+    """One job's run ledger, read out of the server ledger.
+
+    Reading starts at ``record.ledger_start`` (the ledger's offset once
+    the job's ``serve_job_start`` was flushed) and, once the job is
+    settled, stops at ``record.ledger_end``. It keeps the lines stamped
+    with the job's id, drops the stamp and renumbers ``seq`` from 1: the
+    ledger a ``repro sweep --events`` run of the same sweep writes, up
+    to timings. Each :meth:`read` returns the complete lines that landed
+    since the last one; a line still without its newline is held back
+    until it has one.
+    """
+
+    def __init__(
+        self, ledger_path: Union[str, Path], record: JobRecord
+    ) -> None:
+        self.path = Path(ledger_path)
+        self.record = record
+        self.pos: Optional[int] = None
+        self.seq = 0
+        self._mark = f'"{JOB_STAMP}":{json.dumps(record.job_id)}'.encode()
+
+    def read(self) -> bytes:
+        record = self.record
+        if self.pos is None:
+            if record.ledger_start is None:
+                return b""  # not started yet
+            self.pos = record.ledger_start
+        # The worker sets ledger_end before the terminal state, so a
+        # caller that saw the job settled before this read stops at it.
+        end = record.ledger_end
+        try:
+            with self.path.open("rb") as handle:
+                handle.seek(self.pos)
+                data = handle.read(
+                    -1 if end is None else max(0, end - self.pos)
+                )
+        except OSError:
+            return b""
+        whole = data[: data.rfind(b"\n") + 1]
+        self.pos += len(whole)
+        lines = []
+        for line in whole.split(b"\n"):
+            if self._mark not in line:
+                continue
+            try:
+                event = json.loads(line)
+            except ValueError:
+                continue  # a torn line a dead writer left mid-file
+            if event.pop(JOB_STAMP, None) != record.job_id:
+                continue
+            self.seq += 1
+            event["seq"] = self.seq
+            lines.append(
+                json.dumps(event, separators=(",", ":"), allow_nan=False)
+                + "\n"
+            )
+        return "".join(lines).encode()
 
 
 class ThreadEventRouter(EventSink):
@@ -79,7 +148,7 @@ class ThreadEventRouter(EventSink):
     The shared cache holds exactly one ``events`` attribute, but five
     worker threads run five different jobs against it concurrently.
     Each worker registers its job's sink for the duration of the
-    sweep; cache events then land in that job's ledger. Threads with
+    sweep; cache events then carry that job's stamp. Threads with
     nothing registered fall back to ``fallback`` (the server ledger),
     so out-of-band traffic — e.g. an eviction sweep triggered from a
     maintenance call — is never dropped.
@@ -309,19 +378,16 @@ class ServeServer:
         record.state = "running"
         record.started_t = time.monotonic()
         request = record.request
-        job_dir = self.config.job_dir(record.job_id)
-        job_dir.mkdir(parents=True, exist_ok=True)
-        events_path = job_dir / "events.jsonl"
-        record.events_path = str(events_path)
         self.ledger.emit(
             "serve_job_start",
             job_id=record.job_id,
             tenant=record.tenant,
             artifacts=list(request.artifacts),
         )
-        job_log = EventLog(events_path)
-        sink = TeeSink(job_log, self.ledger)
+        record.ledger_start = self.ledger.offset
+        sink = JobStampSink(self.ledger, record.job_id)
         self._cache_router.register(sink)
+        state = "failed"
         try:
             result = execute(
                 request.to_specs(),
@@ -348,14 +414,16 @@ class ServeServer:
                 lease_size=self.config.lease_size,
                 backend=request.backend or self.config.backend,
             )
-            self._settle(record, result, sink, job_dir)
+            state = self._settle(record, result, sink)
         except Exception as exc:  # defensive: execute() shouldn't raise
-            record.state = "failed"
             record.error = f"{exc.__class__.__name__}: {exc}"
         finally:
             record.finished_t = time.monotonic()
             self._cache_router.unregister()
-            job_log.close()
+            # The job's view ends here. Publish the offset before the
+            # state that tells a follower the job is over.
+            record.ledger_end = self.ledger.offset
+            record.state = state
             self.ledger.emit(
                 "serve_job_end",
                 job_id=record.job_id,
@@ -366,14 +434,15 @@ class ServeServer:
                 ),
             )
 
-    def _settle(self, record, result, sink, job_dir) -> None:
+    def _settle(self, record, result, sink) -> str:
+        """Store the job's outputs; return its terminal state."""
         from collections import Counter
 
         from repro.experiments.export import to_jsonable
         from repro.obs.calib import evaluate_gauges, values_from_result
 
-        # Gauges over this job's results, mirrored into both ledgers
-        # and onto the server-wide scoreboard.
+        # Gauges over this job's results, into the ledger and onto the
+        # server-wide scoreboard.
         evaluated = evaluate_gauges(values_from_result(result))
         gauge_fields = [g.event_fields() for g in evaluated]
         for fields in gauge_fields:
@@ -408,9 +477,8 @@ class ServeServer:
             scale=record.request.scale,
             argv=["serve", record.job_id] + list(record.request.artifacts),
             cache_dir=self.config.cache_dir,
-            events_path=record.events_path,
+            events_path=self.config.ledger_path,
         )
-        write_manifest(manifest, job_dir / "manifest.json")
         record.manifest_digest = self.artifacts.put_json(manifest)
         record.result_digest = self.artifacts.put_json(
             {
@@ -430,16 +498,15 @@ class ServeServer:
             "failed": result.failed_count,
             "skipped": result.skipped_count,
         }
-        if result.failed_count or result.skipped_count:
-            record.state = "failed"
-            failures = result.failures()
-            if failures:
-                record.error = (
-                    f"{failures[0].label}: {failures[0].error_type}: "
-                    f"{failures[0].error}"
-                )
-        else:
-            record.state = "done"
+        if not (result.failed_count or result.skipped_count):
+            return "done"
+        failures = result.failures()
+        if failures:
+            record.error = (
+                f"{failures[0].label}: {failures[0].error_type}: "
+                f"{failures[0].error}"
+            )
+        return "failed"
 
     # -- introspection ---------------------------------------------------
     def job_result(self, job_id: str) -> Optional[Dict[str, Any]]:

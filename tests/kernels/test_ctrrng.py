@@ -75,3 +75,94 @@ class TestDistributions:
             assert not np.array_equal(
                 normals(KEY, stream, rows, 0), uniforms(KEY, stream, rows, 0)
             )
+
+
+# The generator as first written: whole-array temporaries, no in-place
+# steps. The production code must keep producing exactly these bits.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _reference_mix(z):
+    z = (z + _GOLDEN).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _reference_hash_u64(key, stream, row, col):
+    row = np.asarray(row, dtype=np.uint64)
+    col = np.asarray(col, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        h = _reference_mix(np.uint64(key) + _GOLDEN * np.uint64(stream))
+        h = _reference_mix(h ^ _reference_mix(row))
+        return _reference_mix(h ^ _reference_mix(col) ^ (col * _GOLDEN))
+
+
+def _reference_uniforms(key, stream, row, col):
+    bits = _reference_hash_u64(key, stream, row, col)
+    return (bits >> np.uint64(11)).astype(np.float64) * float(
+        np.ldexp(1.0, -53)
+    )
+
+
+def _reference_normals(key, stream, row, col):
+    u1 = _reference_uniforms(key, (1 << 32) + 2 * stream, row, col)
+    u2 = _reference_uniforms(key, (1 << 32) + 2 * stream + 1, row, col)
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+
+
+EDGES = [0, 1, 2**63, 2**64 - 1]
+
+
+class TestReferenceBits:
+    """In-place hashing returns the reference's bits, types and shapes."""
+
+    CASES = [
+        ("scalar", 5, 9),
+        ("edge rows x edge cols",
+         np.array(EDGES, dtype=np.uint64)[:, None],
+         np.array(EDGES, dtype=np.uint64)[None, :]),
+        ("rows x scalar col",
+         np.array(EDGES + [7, 2**40], dtype=np.uint64), 0),
+        ("scalar row x cols", 2**64 - 1, np.arange(240)),
+        ("matrix", np.arange(300)[:, None], np.arange(240)[None, :]),
+        ("int64 rows", np.arange(5, dtype=np.int64)[:, None],
+         np.arange(3)[None, :]),
+    ]
+
+    @staticmethod
+    def _same(actual, expected):
+        assert type(actual) is type(expected)
+        assert np.shape(actual) == np.shape(expected)
+        assert np.asarray(actual).dtype == np.asarray(expected).dtype
+        assert np.array_equal(
+            np.asarray(actual).view(np.uint64),
+            np.asarray(expected).view(np.uint64),
+        )
+
+    def test_hash_uniforms_normals_match_reference(self):
+        for key in (0, KEY, 2**64 - 1):
+            for stream in (0, 3, 2**32 - 1):
+                for _, row, col in self.CASES:
+                    for produce, reference in (
+                        (hash_u64, _reference_hash_u64),
+                        (uniforms, _reference_uniforms),
+                        (normals, _reference_normals),
+                    ):
+                        self._same(
+                            produce(key, stream, row, col),
+                            reference(key, stream, row, col),
+                        )
+
+    def test_scalar_coordinates_give_scalars(self):
+        assert isinstance(hash_u64(KEY, 1, 2**63, 2**64 - 1), np.uint64)
+        assert isinstance(uniforms(KEY, 1, 0, 0), np.float64)
+
+    def test_caller_arrays_are_not_modified(self):
+        rows = np.array(EDGES, dtype=np.uint64)[:, None]
+        cols = np.arange(8, dtype=np.uint64)[None, :]
+        before = (rows.copy(), cols.copy())
+        uniforms(KEY, 2, rows, cols)
+        normals(KEY, 2, rows, cols)
+        assert np.array_equal(rows, before[0])
+        assert np.array_equal(cols, before[1])
