@@ -855,13 +855,14 @@ def _load_gauge_overrides(path):
 def _sweep_gauges(args, result, events_sink, fleet_summary=None):
     """Score the calibration gauges over a sweep's outcomes.
 
-    Emits one ``gauge`` event per result into the (still-open) ledger,
-    honours ``--gauges`` target overrides and the ``--metrics``
-    OpenMetrics export, and returns the evaluated list — empty when
-    gauges are not in play, ``None`` on a bad ``--gauges`` file (the
-    caller exits 2). For a fleet sweep the per-shard partials are not
-    gaugeable on their own, so the merged ``fleet_summary`` is scored
-    under the ``fleet`` runner instead.
+    Emits one ``gauge`` event per scored (not skipped) result into the
+    (still-open) ledger, honours ``--gauges`` target overrides and the
+    ``--metrics`` OpenMetrics export, and returns the evaluated list,
+    skipped gauges included — empty when gauges are not in play,
+    ``None`` on a bad ``--gauges`` file (the caller exits 2). For a
+    fleet sweep the per-shard partials are not gaugeable on their own,
+    so the merged ``fleet_summary`` is scored under the ``fleet``
+    runner instead.
     """
     wants_gauges = bool(args.events or args.gauges or args.metrics)
     if not wants_gauges:
@@ -891,7 +892,8 @@ def _sweep_gauges(args, result, events_sink, fleet_summary=None):
     evaluated = evaluate_gauges(values, gauges)
     if events_sink is not None:
         for gauge in evaluated:
-            events_sink.emit("gauge", **gauge.event_fields())
+            if gauge.status != "skipped":
+                events_sink.emit("gauge", **gauge.event_fields())
     if args.metrics:
         from repro.obs.openmetrics import render_openmetrics
 

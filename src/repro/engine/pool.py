@@ -53,6 +53,7 @@ the way out, so Ctrl-C during a chaos run behaves like Ctrl-C.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import signal
@@ -83,6 +84,19 @@ _WATCHDOG_GRACE_S = 5.0
 
 #: How long a terminated lease worker may take to exit before SIGKILL.
 _TERMINATE_GRACE_S = 1.0
+
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+#: Lease workers serve blocks below this from the heap, not from a
+#: fresh ``mmap``: the ceiling glibc's own dynamic threshold reaches on
+#: 64-bit (``DEFAULT_MMAP_THRESHOLD_MAX``).
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+#: Free heap a lease worker keeps before glibc trims it back to the
+#: kernel; at least twice the mmap threshold, as glibc pairs them.
+_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -518,6 +532,30 @@ def _crash_record(
 # Batch-lease execution: persistent warm workers, streamed records.
 # ---------------------------------------------------------------------------
 
+def _settle_allocator() -> None:
+    """Pin glibc's malloc thresholds for this process.
+
+    glibc starts at a 128 KiB mmap threshold and raises it (and the
+    trim threshold, to twice it) only when a large mapped block is
+    freed. Until then a fresh process hands every multi-MiB numpy
+    temporary back to the kernel when it is freed, and page-faults
+    the next one in again. Pinning both thresholds keeps freed blocks
+    of up to :data:`_MMAP_THRESHOLD_BYTES` for reuse from the first
+    job on. The mmap threshold is set first, and the trim threshold
+    only if that succeeded: setting the trim threshold alone switches
+    the dynamic mmap threshold off at 128 KiB. Where libc has no
+    ``mallopt``, or refuses a value, nothing more is changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def _lease_worker_main(
     conn, out_ring_name: Optional[str], in_ring_name: Optional[str]
 ) -> None:
@@ -542,11 +580,14 @@ def _lease_worker_main(
     the worker shrug off the watchdog, and a wakeup fd into the
     parent loop's self-pipe. So SIGTERM is reset to its default,
     SIGINT is ignored (Ctrl-C is the parent's to handle) and the
-    wakeup fd is dropped.
+    wakeup fd is dropped. Then the allocator's thresholds are settled
+    (:func:`_settle_allocator`), so the worker's first job reuses
+    freed memory as its later jobs do.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.set_wakeup_fd(-1)
+    _settle_allocator()
     out_ring = (
         shm_mod.ShmRing.attach(out_ring_name) if out_ring_name else None
     )

@@ -442,12 +442,13 @@ class ServeServer:
         from repro.obs.calib import evaluate_gauges, values_from_result
 
         # Gauges over this job's results, into the ledger and onto the
-        # server-wide scoreboard.
+        # server-wide scoreboard; a skipped gauge measured nothing.
         evaluated = evaluate_gauges(values_from_result(result))
-        gauge_fields = [g.event_fields() for g in evaluated]
-        for fields in gauge_fields:
+        scored = [
+            g.event_fields() for g in evaluated if g.status != "skipped"
+        ]
+        for fields in scored:
             sink.emit("gauge", **fields)
-        scored = [g for g in gauge_fields if g["status"] != "skipped"]
         record.gauges = scored
         with self._board_lock:
             for fields in scored:

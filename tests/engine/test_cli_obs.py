@@ -35,6 +35,8 @@ class TestSweepTracing:
 
 class TestSweepGauges:
     def test_gauge_events_and_scoreboard(self, tmp_path, capsys):
+        from repro.obs.calib import PAPER_GAUGES
+
         ledger = tmp_path / "L.jsonl"
         assert main(["sweep", "fig2", "--quiet",
                      "--events", str(ledger)]) == 0
@@ -43,9 +45,11 @@ class TestSweepGauges:
         gauge_events = [
             e for e in read_events(ledger) if e["event"] == "gauge"
         ]
-        assert len(gauge_events) >= 6  # full registry, most skipped
-        scored = [e for e in gauge_events if e["status"] != "skipped"]
-        assert scored and all(e["status"] == "pass" for e in scored)
+        # Only scored gauges reach the ledger: every fig2 gauge, passing.
+        fig2 = {g.name for g in PAPER_GAUGES if g.runner == "fig2"}
+        assert {e["name"] for e in gauge_events} == fig2
+        assert len(gauge_events) == len(fig2)
+        assert all(e["status"] == "pass" for e in gauge_events)
 
     def test_miscalibrated_fixture_prints_fail(self, tmp_path, capsys):
         fixture = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Tests for repro.engine.pool: fan-out, retries, timeouts, failures."""
 
+import resource
+
 import pytest
 
 from repro.engine import (
@@ -515,3 +517,59 @@ class TestOffMainThreadTimeout:
         )
         assert outcome.status == "failed"
         assert outcome.duration_s < 1.0
+
+
+#: The churn probe's temporaries: four (2048, 240) float64 matrices,
+#: the size of a fleet shard's per-tile temporaries (3.75 MiB each).
+_CHURN_SHAPE = (2048, 240)
+_CHURN_TEMPS = 4
+_CHURN_PAGES = (
+    _CHURN_TEMPS * _CHURN_SHAPE[0] * _CHURN_SHAPE[1] * 8
+    // resource.getpagesize()
+)
+
+
+def _malloc_churn_runner(iterations=20, seed=None):
+    """Allocate, fill and free the probe's temporaries ``iterations``
+    times; return this process's minor page faults over the loop."""
+    import numpy as np
+
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(int(iterations)):
+        temps = [np.ones(_CHURN_SHAPE) for _ in range(_CHURN_TEMPS)]
+        del temps
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _has_mallopt():
+    import ctypes
+
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+class TestLeaseWorkerAllocator:
+    """A fresh lease worker reuses freed multi-MiB blocks from its
+    first job on. glibc's dynamic thresholds would otherwise hand each
+    freed temporary back to the kernel until a large mapped block is
+    freed, and every iteration would fault its pages in again."""
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+    def test_fresh_worker_does_not_refault_freed_temporaries(self):
+        jobs = [
+            JobSpec(
+                runner="tests.engine.test_pool:_malloc_churn_runner",
+                kwargs={"iterations": 20},
+                index=i,
+            )
+            for i in range(2)
+        ]
+        result = execute(jobs, workers=2, retries=0)
+        assert result.workers == 2 and result.ok_count == 2
+        # The first iteration faults its pages in; later ones reuse them.
+        # Re-faulting every iteration would take ~20x one iteration.
+        for faults in result.values():
+            assert faults < 3 * _CHURN_PAGES, (faults, _CHURN_PAGES)
