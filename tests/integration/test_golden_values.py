@@ -11,7 +11,8 @@ the benchmark suite.
 import numpy as np
 import pytest
 
-from repro.radio.bands import NR_N261
+from repro.fleet import FleetSpec, run_fleet
+from repro.radio.bands import NR_N71, NR_N261
 from repro.radio.signal import RsrpProcess, rsrp_at_distance
 from repro.rrc.machine import RRCStateMachine
 from repro.rrc.parameters import get_parameters
@@ -60,3 +61,78 @@ class TestGoldenValues:
             (245, 19248548),
             (53, 1363079),
         ]
+
+
+class TestGoldenRsrpPipeline:
+    """Pins on both consumers of the RSRP model: the batched
+    ``RsrpProcess.simulate`` and the fleet's counter-based matrices.
+    A recalibration of one that is not a recalibration of the other
+    moves one of these classes and not the other."""
+
+    def test_mmwave_walk(self):
+        process = RsrpProcess(NR_N261, seed=13)
+        samples = process.simulate(np.linspace(40.0, 260.0, 400), speed_mps=1.4)
+        assert np.round(samples[::50], 4).tolist() == [
+            -70.5764, -80.926, -80.2755, -83.7309,
+            -101.91, -105.9476, -95.6689, -93.5316,
+        ]
+        assert round(float(samples.min()), 4) == -118.3512
+        assert process.blocked is False
+
+    def test_mmwave_simulate_after_step_mid_blockage(self):
+        # Carried-over state: blocked, a partial depth ramp, the event's
+        # severity and the fading value all enter the batched call.
+        process = RsrpProcess(NR_N261, seed=3)
+        steps = 0
+        while not process.blocked:
+            process.step(120.0, 5.0)
+            steps += 1
+        for _ in range(3):
+            process.step(120.0, 5.0)
+        assert steps == 11 and process.blocked
+        samples = process.simulate(np.full(40, 120.0), speed_mps=1.4)
+        assert np.round(samples[:6], 4).tolist() == [
+            -96.0084, -98.2822, -99.1128, -101.396, -100.0495, -103.227,
+        ]
+        assert np.round(samples[::8], 4).tolist() == [
+            -96.0084, -105.1643, -107.8868, -117.3923, -119.9086,
+        ]
+        assert process.blocked is True
+
+    def test_mmwave_per_tick_speeds(self):
+        speeds = 1.0 + np.abs(np.sin(np.arange(600) / 23.0)) * 4.0
+        process = RsrpProcess(NR_N261, seed=21)
+        samples = process.simulate(np.linspace(300.0, 60.0, 600), speed_mps=speeds)
+        assert np.round(samples[::60], 4).tolist() == [
+            -96.4272, -106.3101, -92.2897, -85.5994, -83.0064,
+            -81.4188, -122.675, -104.3356, -84.7243, -82.3576,
+        ]
+        assert round(float(samples.min()), 4) == -133.1646
+        assert process.blocked is True
+
+    def test_lowband(self):
+        process = RsrpProcess(NR_N71, seed=11)
+        samples = process.simulate(np.linspace(200.0, 3000.0, 200), speed_mps=1.4)
+        assert np.round(samples[::25], 4).tolist() == [
+            -71.4137, -85.4562, -90.7604, -91.4294,
+            -96.2584, -98.0899, -102.5028, -101.6405,
+        ]
+
+    @pytest.mark.parametrize(
+        "key, expected",
+        [
+            (20210823, [-80.854, -82.2774, -139.4036, -60.0, -85.6354, 272.373]),
+            (7, [-80.4507, -82.2774, -135.7647, -60.0, -85.6354, 186.5504]),
+        ],
+    )
+    def test_small_fleet_summary(self, key, expected):
+        groups = run_fleet(FleetSpec(ues=512, key=key))["groups"]
+        rsrp = groups["rsrp_all"]
+        assert [
+            round(rsrp["mean"], 4),
+            round(rsrp["quantiles"]["50"], 4),
+            round(rsrp["min"], 4),
+            round(rsrp["max"], 4),
+            round(groups["walk_mmwave_rsrp"]["quantiles"]["50"], 4),
+            round(groups["dl_all"]["mean"], 4),
+        ] == expected
