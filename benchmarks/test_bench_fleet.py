@@ -10,10 +10,9 @@ serial run (``getrusage`` ``ru_minflt`` delta) per simulated UE, the
 cost of computing into freshly mapped memory, and
 ``parallel_minflt_per_ue``: the same for the parallel run's lease
 workers (the ``RUSAGE_CHILDREN`` delta, as ``execute`` reaps its
-workers before it returns). The workers fork after the serial run,
-whose frees have raised glibc's malloc thresholds, so they inherit
-raised thresholds and the figure is not a fresh worker's (see
-docs/performance.md). Both are reported, not gated.
+workers before it returns). The parallel run goes first, so its
+workers fork from a parent no fleet run has warmed and the figure is
+a fresh worker's. Both are reported, not gated.
 
 Alongside throughput it asserts the pipeline's load-bearing contract:
 the sharded-parallel summary is bit-identical to the serial one
@@ -85,10 +84,12 @@ def _run_parallel(spec: FleetSpec) -> tuple:
 
 def _measure() -> dict:
     spec = _spec()
-    serial_summary, serial_s, serial_minflt = _run_serial(spec)
+    # Parallel first: a worker forked after the serial run would
+    # inherit the malloc thresholds that run's frees raised.
     worker_faults = _minflt(resource.RUSAGE_CHILDREN)
     parallel_summary, parallel_s = _run_parallel(spec)
     parallel_minflt = _minflt(resource.RUSAGE_CHILDREN) - worker_faults
+    serial_summary, serial_s, serial_minflt = _run_serial(spec)
     assert _canon(serial_summary) == _canon(parallel_summary), (
         "sharded-parallel fleet summary diverged from serial"
     )

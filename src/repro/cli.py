@@ -70,7 +70,7 @@ from repro.engine import (
     execute,
     registry,
 )
-from repro.experiments.export import export_json, to_jsonable
+from repro.experiments.export import export_json, sweep_payload, to_jsonable
 from repro.kernels.backend import UnknownBackendError
 
 
@@ -585,20 +585,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sweep_payload_key(outcome, display_counts) -> str:
-    """JSON export key for one outcome, unique across the whole sweep.
-
-    Sweeping the same artifact twice (``sweep fig2 fig2``) used to key
-    both results by the bare display name, so the dict silently kept
-    only the last one; repeated names now get a ``#index`` suffix while
-    unique names keep their plain, stable key.
-    """
-    display = outcome.spec.display
-    if display_counts[display] > 1:
-        return f"{display}#{outcome.spec.index}"
-    return display
-
-
 def _fleet_spec_from_args(args):
     """Build the FleetSpec for a ``sweep fleet --ues N`` invocation.
 
@@ -680,8 +666,6 @@ def _fmt_stat(value) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    from collections import Counter
-
     unknown = _check_artifacts(args.artifacts)
     if unknown:
         return _fail_unknown(unknown)
@@ -781,14 +765,7 @@ def _cmd_sweep(args) -> int:
         if fleet_summary is not None:
             payload = to_jsonable(fleet_summary)
         else:
-            display_counts = Counter(o.spec.display for o in result.outcomes)
-            payload = {
-                _sweep_payload_key(outcome, display_counts): to_jsonable(
-                    outcome.value
-                )
-                for outcome in result.outcomes
-                if outcome.status in ("ok", "cached")
-            }
+            payload = sweep_payload(result.outcomes)
         path = export_json(payload, args.json)
         print(f"wrote {path}")
     for manifest_path in _sweep_manifest_paths(args):

@@ -12,8 +12,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+from collections import Counter
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Dict, Sequence, Union
 
 import numpy as np
 
@@ -92,6 +93,26 @@ def to_jsonable(value: Any, array_hook: Any = None) -> Any:
     if isinstance(value, (list, tuple, set)):
         return [to_jsonable(v, array_hook) for v in value]
     return repr(value)
+
+
+def sweep_payload(outcomes: Sequence[Any]) -> Dict[str, Any]:
+    """``{key: to_jsonable(value)}`` over a sweep's ok and cached outcomes.
+
+    The result payload of both ``repro sweep --json`` and serve. A
+    display name the sweep repeats (``sweep fig2 fig2``) is keyed
+    ``name#index`` so no result clobbers another; unique names keep
+    their plain, stable key.
+    """
+    counts = Counter(o.spec.display for o in outcomes)
+    return {
+        (
+            f"{o.spec.display}#{o.spec.index}"
+            if counts[o.spec.display] > 1
+            else o.spec.display
+        ): to_jsonable(o.value)
+        for o in outcomes
+        if o.status in ("ok", "cached")
+    }
 
 
 def from_jsonable(value: Any) -> Any:

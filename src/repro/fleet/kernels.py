@@ -2,20 +2,16 @@
 
 Each function takes a *group* of UEs that share one carrier network and
 produces a ``(UEs, ticks)`` matrix in a handful of array operations —
-no Python loop over UEs. The tick-sequential pieces (blockage Markov
-chain, blockage-depth ramp, AR(1) fading) ride on the batched scans in
-:mod:`repro.kernels.scan`, which are per-row bit-identical to their
-1-D form, and all randomness is counter-based
+no Python loop over UEs. All randomness is counter-based
 (:mod:`repro.kernels.ctrrng`) in the UE's absolute index — so a group's
 rows compute the same bits no matter how the population is sharded or
 which other UEs happen to share the batch.
 
-The RSRP pipeline mirrors ``RsrpProcess._simulate_batch`` stage for
-stage (blockage chain → per-onset severity hold → depth ramp → AR(1)
-fading → path loss → clip), with the per-event severity hold expressed
-as a 2-D gather: ``maximum.accumulate`` over onset indices finds each
-tick's most recent onset, and ``take_along_axis`` pulls that onset's
-severity draw.
+RSRP is :func:`repro.radio.signal.rsrp_from_draws`, the same pipeline
+``RsrpProcess.simulate`` runs; this module only supplies its draws from
+the ``STREAM_BLOCK``, ``STREAM_SEVERITY`` and ``STREAM_FADING`` streams.
+That pipeline's stages run along the tick axis, each row bit-identical
+to its 1-D form.
 """
 
 from __future__ import annotations
@@ -36,21 +32,9 @@ from repro.fleet.scenario import (
 )
 from repro.fleet.spec import FleetSpec
 from repro.kernels.ctrrng import normals, uniforms
-from repro.kernels.scan import ar1_scan, leaky_ramp_scan, markov_binary_scan
 from repro.radio.carriers import CarrierNetwork
 from repro.radio.link import LinkBudget, Modem
-from repro.radio.propagation import BlockageModel, get_path_loss_model
-from repro.radio.signal import (
-    RSRP_MAX_DBM,
-    RSRP_MIN_DBM,
-    _BLOCKAGE_FADE_DB,
-    _FADING_SIGMA,
-    _TX_EIRP_DBM,
-)
-
-#: Full blockage fade: the NLoS penalty plus the deep-fade excess, as in
-#: ``RsrpProcess`` (22 + 18 dB at depth 1, severity 1).
-_FULL_FADE_DB = _BLOCKAGE_FADE_DB + 18.0
+from repro.radio.signal import rsrp_from_draws
 
 
 def rsrp_matrix(
@@ -63,61 +47,24 @@ def rsrp_matrix(
     """RSRP (dBm) for a same-network UE group: shape ``(len(ue), ticks)``.
 
     ``distances_m`` and ``speeds_mps`` are aligned ``(UEs, ticks)``
-    matrices. Matches the single-trajectory ``RsrpProcess`` model:
-    AR(1) fading with band-class sigma matched to the tick length,
-    and — on mmWave — the speed-driven two-state blockage chain with
-    per-event severity and an exponential depth ramp.
+    matrices. Every UE starts unblocked with zero fading. Severity
+    draws are made for every tick; the pipeline reads those at
+    blockage onsets.
     """
-    ue = np.asarray(ue, dtype=np.int64)
-    band = network.band
-    n, ticks = distances_m.shape
-    rows = ue[:, None]
-    cols = np.arange(ticks, dtype=np.int64)[None, :]
-
-    rho = float(np.exp(-spec.dt_s / 1.5))  # RsrpProcess.correlation_s
-    sigma = _FADING_SIGMA[band.band_class]
-    sigma_eff = float(sigma * np.sqrt(1.0 - rho**2))
-
-    innovations = normals(spec.key, STREAM_FADING, rows, cols) * sigma_eff
-    fading = ar1_scan(rho, innovations, init=0.0)
-
-    loss = get_path_loss_model(band).path_loss_db_series(distances_m)
-    rsrp = _TX_EIRP_DBM[band.band_class] - loss + fading
-
-    if band.is_mmwave:
-        draws = uniforms(spec.key, STREAM_BLOCK, rows, cols)
-        p_block, p_recover = BlockageModel().transition_probabilities(
-            speeds_mps, spec.dt_s
-        )
-        blocked = markov_binary_scan(
-            next_if_true=draws >= p_recover,
-            next_if_false=draws < np.broadcast_to(p_block, draws.shape),
-            init=False,
-        )
-        prev = np.concatenate(
-            [np.zeros((n, 1), dtype=bool), blocked[:, :-1]], axis=1
-        )
-        onsets = blocked & ~prev
-        # One severity per blockage event: a per-tick candidate draw,
-        # gathered at each tick's most recent onset (1.0 before any).
-        severity_draws = 0.5 + 0.5 * uniforms(
+    rows = np.asarray(ue, dtype=np.int64)[:, None]
+    cols = np.arange(distances_m.shape[1], dtype=np.int64)[None, :]
+    rsrp, _ = rsrp_from_draws(
+        network.band,
+        distances_m,
+        speeds_mps,
+        spec.dt_s,
+        block_uniforms=lambda: uniforms(spec.key, STREAM_BLOCK, rows, cols),
+        severities=lambda onsets: uniforms(
             spec.key, STREAM_SEVERITY, rows, cols
-        )
-        last_onset = np.maximum.accumulate(
-            np.where(onsets, np.arange(ticks), -1), axis=-1
-        )
-        severity = np.where(
-            last_onset >= 0,
-            np.take_along_axis(
-                severity_draws, np.maximum(last_onset, 0), axis=-1
-            ),
-            1.0,
-        )
-        ramp_alpha = 1.0 - float(np.exp(-spec.dt_s / 1.8))  # blockage_ramp_s
-        depth = leaky_ramp_scan(ramp_alpha, blocked.astype(float), init=0.0)
-        rsrp = rsrp - _FULL_FADE_DB * depth * severity
-
-    return np.clip(rsrp, RSRP_MIN_DBM, RSRP_MAX_DBM)
+        ),
+        fading_normals=lambda: normals(spec.key, STREAM_FADING, rows, cols),
+    )
+    return rsrp
 
 
 def downlink_matrix(

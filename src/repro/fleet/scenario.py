@@ -13,8 +13,9 @@ Geometry follows the paper's two settings:
 * **Walkers** re-create the Fig. 13 measurement: each walks the
   ~1.6 km loop (:func:`repro.mobility.routes.walking_loop`) at 1.4 m/s
   with a random phase offset, served by three towers placed evenly
-  along the loop with per-UE Gaussian placement jitter (40 m), exactly
-  like ``TowerGrid.along_route`` does for the single-UE artifact.
+  along the loop by :func:`repro.radio.towers.route_arc_points` (the
+  rule ``TowerGrid.along_route`` uses for the single-UE artifact) with
+  per-UE Gaussian placement jitter (40 m).
 * **Drivers and stationary UEs** live on a square city of
   ``city_extent_m`` per side with per-band uniform tower grids
   (mmWave towers every 300 m, low/mid-band and LTE every 2 km);
@@ -38,7 +39,7 @@ from repro.mobility.routes import walking_loop
 from repro.power.device import DeviceProfile, get_device
 from repro.radio.bands import Band
 from repro.radio.carriers import NETWORKS, CarrierNetwork
-from repro.radio.towers import TowerGrid
+from repro.radio.towers import TowerGrid, route_arc_points
 
 # ctrrng stream ids (uniform streams stay below 2**32; see ctrrng).
 STREAM_NETWORK = 1
@@ -79,26 +80,6 @@ def _pick(mix, u: np.ndarray) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _route_arc_points(waypoints, count: int) -> np.ndarray:
-    """``count`` points evenly spaced along a polyline (arc length).
-
-    The same placement rule as ``TowerGrid.along_route`` (tower ``i``
-    at arc fraction ``(i + 0.5) / count``), vectorized and without the
-    per-call ``Generator`` (fleet jitter comes from ctrrng instead).
-    """
-    points = np.asarray(waypoints, dtype=float)
-    seglens = np.hypot(*(np.diff(points, axis=0).T))
-    cumulative = np.concatenate([[0.0], np.cumsum(seglens)])
-    total = cumulative[-1]
-    targets = total * (np.arange(count) + 0.5) / count
-    seg = np.minimum(
-        np.searchsorted(cumulative, targets, side="right") - 1,
-        len(seglens) - 1,
-    )
-    frac = (targets - cumulative[seg]) / np.maximum(seglens[seg], 1e-9)
-    return points[seg] + frac[:, None] * (points[seg + 1] - points[seg])
-
-
 class FleetScenario:
     """Precomputed, shard-independent tables for one :class:`FleetSpec`.
 
@@ -123,7 +104,7 @@ class FleetScenario:
             )
         self.route = walking_loop()
         self.loop_duration_s = self.route.duration_s
-        self.walk_tower_base = _route_arc_points(
+        self.walk_tower_base = route_arc_points(
             self.route.waypoints, WALK_TOWER_COUNT
         )
         # Position in the mix -> canonical kind index, so kernels can

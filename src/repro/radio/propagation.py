@@ -229,7 +229,8 @@ class BlockageModel:
 
         ``speed_mps`` may be a scalar or a per-tick series (walking
         traces have varying speed). Split out from :meth:`simulate` so
-        :meth:`RsrpProcess.simulate` can batch its own draws.
+        :func:`repro.radio.signal.rsrp_from_draws` can take its draws
+        from any source.
         """
         uniforms = np.asarray(uniforms, dtype=float)
         p_block, p_recover = self.transition_probabilities(speed_mps, dt_s)

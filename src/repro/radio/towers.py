@@ -18,6 +18,25 @@ import numpy as np
 from repro.radio.bands import Band
 
 
+def route_arc_points(waypoints, count: int) -> np.ndarray:
+    """``(count, 2)`` points evenly spaced along a polyline by arc
+    length: point ``i`` sits at arc fraction ``(i + 0.5) / count``.
+
+    The walking-loop tower placement, shared by
+    :meth:`TowerGrid.along_route` and the fleet's walkers.
+    """
+    points = np.asarray(waypoints, dtype=float)
+    seglens = np.hypot(*(np.diff(points, axis=0).T))
+    cumulative = np.concatenate([[0.0], np.cumsum(seglens)])
+    targets = cumulative[-1] * (np.arange(count) + 0.5) / count
+    seg = np.minimum(
+        np.searchsorted(cumulative, targets, side="right") - 1,
+        len(seglens) - 1,
+    )
+    frac = (targets - cumulative[seg]) / np.maximum(seglens[seg], 1e-9)
+    return points[seg] + frac[:, None] * (points[seg + 1] - points[seg])
+
+
 @dataclass(frozen=True)
 class Tower:
     """A cell tower at planar coordinates (meters), serving one band."""
@@ -325,25 +344,17 @@ class TowerGrid:
             raise ValueError("count must be >= 1")
         if len(waypoints) < 2:
             raise ValueError("need at least two waypoints")
-        rng = np.random.default_rng(seed)
-        points = np.asarray(waypoints, dtype=float)
-        seglens = np.hypot(*(np.diff(points, axis=0).T))
-        cumulative = np.concatenate([[0.0], np.cumsum(seglens)])
-        total = cumulative[-1]
+        positions = route_arc_points(waypoints, count)
+        if jitter_m > 0:
+            rng = np.random.default_rng(seed)
+            positions = positions + rng.normal(0.0, jitter_m, size=(count, 2))
         grid = TowerGrid()
-        for index in range(count):
-            target = total * (index + 0.5) / count
-            seg = int(np.searchsorted(cumulative, target, side="right") - 1)
-            seg = min(seg, len(seglens) - 1)
-            frac = (target - cumulative[seg]) / max(seglens[seg], 1e-9)
-            position = points[seg] + frac * (points[seg + 1] - points[seg])
-            if jitter_m > 0:
-                position = position + rng.normal(0.0, jitter_m, size=2)
+        for index, (x_m, y_m) in enumerate(positions):
             grid.add(
                 Tower(
                     tower_id=f"{prefix}-{band.name}-{index}",
-                    x_m=float(position[0]),
-                    y_m=float(position[1]),
+                    x_m=float(x_m),
+                    y_m=float(y_m),
                     band=band,
                 )
             )

@@ -436,9 +436,7 @@ class ServeServer:
 
     def _settle(self, record, result, sink) -> str:
         """Store the job's outputs; return its terminal state."""
-        from collections import Counter
-
-        from repro.experiments.export import to_jsonable
+        from repro.experiments.export import sweep_payload
         from repro.obs.calib import evaluate_gauges, values_from_result
 
         # Gauges over this job's results, into the ledger and onto the
@@ -456,22 +454,6 @@ class ServeServer:
                     fields, job_id=record.job_id
                 )
 
-        # The result payload mirrors the sweep CLI's --json export
-        # (same display keys, same to_jsonable normalisation), so the
-        # two transports return bit-identical data.
-        display_counts = Counter(o.spec.display for o in result.outcomes)
-
-        def payload_key(outcome) -> str:
-            display = outcome.spec.display
-            if display_counts[display] > 1:
-                return f"{display}#{outcome.spec.index}"
-            return display
-
-        values = {
-            payload_key(outcome): to_jsonable(outcome.value)
-            for outcome in result.outcomes
-            if outcome.status in ("ok", "cached")
-        }
         manifest = build_manifest(
             result,
             base_seed=record.request.seed,
@@ -486,7 +468,7 @@ class ServeServer:
                 "job_id": record.job_id,
                 "spec_key": record.request.spec_key(),
                 "summary": result.summary(),
-                "values": values,
+                "values": sweep_payload(result.outcomes),
                 "statuses": {
                     o.spec.display: o.status for o in result.outcomes
                 },

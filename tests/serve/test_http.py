@@ -51,6 +51,26 @@ class TestLifecycle:
             == client.result(second["id"])["values"]
         )
 
+    def test_repeated_artifact_payload_matches_cli_export(self, stack, tmp_path):
+        # One payload rule for both transports: a repeated artifact is
+        # keyed name#index in serve's result exactly as in `sweep --json`.
+        from repro.cli import main as cli_main
+
+        _, client = stack
+        target = tmp_path / "cli.json"
+        assert cli_main(
+            ["sweep", "fig2", "fig2", "--scale", "0.2", "--seed", "3",
+             "--quiet", "--json", str(target)]
+        ) == 0
+        record = client.submit(["fig2", "fig2"], seed=3, scale=0.2)
+        assert client.wait(record["id"], timeout=120)["state"] == "done"
+        values = client.result(record["id"])["values"]
+        assert set(values) == {"fig2#0", "fig2#1"}
+        assert values["fig2#0"] != values["fig2#1"]
+        assert json.dumps(values, sort_keys=True) == json.dumps(
+            json.loads(target.read_text()), sort_keys=True
+        )
+
     def test_failed_job_settles_failed(self, stack):
         _, client = stack
         record = client.submit(["test.fail"], retries=0)
