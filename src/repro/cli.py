@@ -70,7 +70,12 @@ from repro.engine import (
     execute,
     registry,
 )
-from repro.experiments.export import export_json, sweep_payload, to_jsonable
+from repro.experiments.export import (
+    export_json,
+    sweep_payload,
+    to_jsonable,
+    write_json,
+)
 from repro.kernels.backend import UnknownBackendError
 
 
@@ -763,10 +768,9 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {args.events}")
     if args.json:
         if fleet_summary is not None:
-            payload = to_jsonable(fleet_summary)
+            path = export_json(fleet_summary, args.json)
         else:
-            payload = sweep_payload(result.outcomes)
-        path = export_json(payload, args.json)
+            path = write_json(sweep_payload(result.outcomes), args.json)
         print(f"wrote {path}")
     for manifest_path in _sweep_manifest_paths(args):
         path = _write_sweep_manifest(result, args, manifest_path)

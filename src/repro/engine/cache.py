@@ -3,9 +3,13 @@
 Each completed job is persisted as one JSON file keyed by a stable
 SHA-256 of ``(runner, kwargs, seed, scale, code-version tag)``. Values
 are normalised through :func:`repro.experiments.export.to_jsonable`
-before hashing and before storage, so a cache hit returns exactly what
-a fresh (normalised) execution would, byte for byte, across processes
-and machines.
+before storage (:meth:`ResultCache.encode_value`; arrays of at least
+``SIDECAR_MIN_ELEMS`` elements go to content-addressed ``.npy``
+sidecars), and come back through
+:func:`repro.experiments.export.from_jsonable`, the one decoder
+(:meth:`ResultCache.decode_value`). A fresh put and a later hit both
+run it, so a hit returns exactly what a fresh execution did, type for
+type, across processes and machines.
 
 The default code-version tag hashes every ``.py`` file under the
 ``repro`` package: editing any source invalidates prior entries, which
@@ -50,20 +54,12 @@ from typing import (
 
 import numpy as np
 
-from repro.experiments.export import (
-    _MAX_ARRAY_EXPORT,
-    NEG_INF_SENTINEL,
-    POS_INF_SENTINEL,
-    to_jsonable,
-)
-from repro.engine.shm import array_digest
+from repro.experiments.export import from_jsonable, to_jsonable
 from repro.engine.spec import JobSpec
 from repro.kernels.backend import DEFAULT_BACKEND
 from repro.obs.events import EventSink
 
 PathLike = Union[str, Path]
-
-_SENTINEL = object()
 
 #: Marker key for a value stored out-of-line as an ``.npy`` sidecar.
 NPY_MARKER = "__npy__"
@@ -73,28 +69,29 @@ NPY_MARKER = "__npy__"
 #: ~100x the decode cost).
 SIDECAR_MIN_ELEMS = 1024
 
-#: A sidecar's name stem: the ``array_digest`` of its array.
+#: A sidecar's name stem: the :func:`array_digest` of its array.
 _DIGEST = re.compile(r"[0-9a-f]{32}")
 
 
-def _array_to_lists(arr: "np.ndarray", decoded: bool) -> Any:
-    """One ndarray → the nested lists ``to_jsonable`` would produce.
+def array_digest(arr: "np.ndarray") -> str:
+    """Content address of one ndarray (dtype + shape + bytes)."""
+    arr = np.ascontiguousarray(arr)
+    digest = hashlib.sha256()
+    digest.update(arr.dtype.str.encode())
+    digest.update(str(arr.shape).encode())
+    digest.update(memoryview(arr).cast("B"))
+    return digest.hexdigest()[:32]
 
-    ``decoded=False`` yields the strict-JSON form (NaN → ``None``,
-    ±inf → sentinel strings) that stored records use; ``decoded=True``
-    yields the post-``from_jsonable`` form (±inf back to floats) that
-    the engine hands callers. Keeping both paths here is what makes
-    sidecar-backed entries type-identical to inline ones.
-    """
-    if arr.dtype.kind == "f":
-        finite = np.isfinite(arr)
-        if not finite.all():
-            out = arr.astype(object)
-            out[np.isnan(arr)] = None
-            if not decoded:
-                out[np.isposinf(arr)] = POS_INF_SENTINEL
-                out[np.isneginf(arr)] = NEG_INF_SENTINEL
-            return out.tolist()
+
+def _array_to_lists(arr: "np.ndarray") -> Any:
+    """One ndarray → the nested lists an inline entry decodes to:
+    ``from_jsonable(to_jsonable(arr))``, with NaN as ``None`` and ±inf
+    as floats. This is what makes sidecar-backed entries type-identical
+    to inline ones."""
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        out = arr.astype(object)
+        out[np.isnan(arr)] = None
+        return out.tolist()
     return arr.tolist()
 
 
@@ -104,13 +101,20 @@ def _npy_bytes(arr: "np.ndarray") -> bytes:
     return buffer.getvalue()
 
 
+def _descriptor(node: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """The sidecar descriptor ``node`` is (``{NPY_MARKER: desc}``), or
+    ``None`` for any other dict."""
+    desc = node.get(NPY_MARKER) if len(node) == 1 else None
+    if isinstance(desc, dict) and _DIGEST.fullmatch(str(desc.get("digest"))):
+        return desc
+    return None
+
+
 def _descriptors(node: Any) -> Iterator[Dict[str, Any]]:
-    """Every sidecar descriptor (``{NPY_MARKER: desc}``) in a value."""
+    """Every sidecar descriptor in a value."""
     if isinstance(node, dict):
-        desc = node.get(NPY_MARKER) if len(node) == 1 else None
-        if isinstance(desc, dict) and _DIGEST.fullmatch(
-            str(desc.get("digest"))
-        ):
+        desc = _descriptor(node)
+        if desc is not None:
             yield desc
             return
         node = node.values()
@@ -372,21 +376,18 @@ class ResultCache:
         (large ndarrays replaced by ``{NPY_MARKER: {...}}`` descriptors)
         plus a digest→array memo so :meth:`decode_value` on the fresh
         path never re-reads what was just written. Arrays below
-        ``SIDECAR_MIN_ELEMS``, above the export cap, or of non-numeric
-        dtype decline the hook and take the normal inline path — the
-        cap stays enforced so cached and uncached sweeps fail (or not)
-        identically. A sidecar write error also declines to inline:
-        storage trouble degrades performance, never correctness.
+        ``SIDECAR_MIN_ELEMS`` or of non-numeric dtype decline the hook
+        and take the normal inline path; ``to_jsonable`` enforces the
+        export cap before offering an array, so cached and uncached
+        sweeps fail (or not) identically. A sidecar write error also
+        declines to inline: storage trouble degrades performance,
+        never correctness.
         """
         arrays: Dict[str, np.ndarray] = {}
         stored: List[str] = []
 
         def hook(arr: "np.ndarray") -> Optional[Dict[str, Any]]:
-            if (
-                arr.size < SIDECAR_MIN_ELEMS
-                or arr.size > _MAX_ARRAY_EXPORT
-                or arr.dtype.kind not in "biuf"
-            ):
+            if arr.size < SIDECAR_MIN_ELEMS or arr.dtype.kind not in "biuf":
                 return None
             try:
                 digest = self._store_array(arr)
@@ -414,56 +415,23 @@ class ResultCache:
         value: Any,
         arrays: Optional[Dict[str, "np.ndarray"]] = None,
     ) -> Any:
-        """One pass of ``from_jsonable`` + sidecar materialisation.
-
-        The engine's normalised return path: sentinel strings become
-        ±inf, sidecar descriptors become the nested lists the inline
-        path would have produced (NaN → ``None``, infinities as
-        floats). ``arrays`` is the fresh-put memo; descriptors not in
-        it fall back to disk.
+        """A stored value as the engine hands it back, in one walk:
+        :func:`from_jsonable`, whose hook turns each sidecar descriptor
+        into the lists an inline entry decodes to. ``arrays`` is the
+        fresh-put memo; descriptors not in it are read from disk
+        (``OSError``/``ValueError`` if gone or corrupt).
         """
-        if isinstance(value, str):
-            if value == POS_INF_SENTINEL:
-                return float("inf")
-            if value == NEG_INF_SENTINEL:
-                return float("-inf")
-            return value
-        if isinstance(value, dict):
-            if len(value) == 1 and NPY_MARKER in value:
-                desc = value[NPY_MARKER]
-                arr = None
-                if arrays is not None:
-                    arr = arrays.get(desc.get("digest"))
-                if arr is None:
-                    arr = self._load_array(desc)
-                return _array_to_lists(arr, decoded=True)
-            return {
-                key: self.decode_value(item, arrays)
-                for key, item in value.items()
-            }
-        if isinstance(value, list):
-            return [self.decode_value(item, arrays) for item in value]
-        return value
 
-    def _resolve_sidecars(self, value: Any) -> Any:
-        """Descriptors → jsonable lists (the pre-sidecar ``get`` shape).
+        def hook(node: Dict[str, Any]) -> Any:
+            desc = _descriptor(node)
+            if desc is None:
+                return None
+            arr = arrays.get(desc["digest"]) if arrays else None
+            if arr is None:
+                arr = self._load_array(desc)
+            return _array_to_lists(arr)
 
-        Hits must return exactly what an inline entry stores, so the
-        pool's existing ``from_jsonable`` pass stays the single decode
-        point regardless of how the entry was persisted.
-        """
-        if isinstance(value, dict):
-            if len(value) == 1 and NPY_MARKER in value:
-                return _array_to_lists(
-                    self._load_array(value[NPY_MARKER]), decoded=False
-                )
-            return {
-                key: self._resolve_sidecars(item)
-                for key, item in value.items()
-            }
-        if isinstance(value, list):
-            return [self._resolve_sidecars(item) for item in value]
-        return value
+        return from_jsonable(value, array_hook=hook)
 
     def _quarantine(
         self,
@@ -508,7 +476,8 @@ class ResultCache:
             )
 
     def get(self, spec: JobSpec, key: str) -> Tuple[bool, Any]:
-        """(hit, value). Corrupt entries are quarantined and miss."""
+        """(hit, value), the value decoded as :meth:`decode_value` decodes
+        a fresh put. Corrupt entries are quarantined and miss."""
         path = self.path_for(spec, key)
         if self.faults is not None and path.exists():
             fault = self.faults.decide(
@@ -534,7 +503,7 @@ class ResultCache:
             self._quarantine(path, spec, "not a cache record")
             return False, None
         try:
-            value = self._resolve_sidecars(record["value"])
+            value = self.decode_value(record["value"])
         except (OSError, ValueError) as exc:
             # A record whose sidecar is gone or corrupt is itself
             # unusable: quarantine the entry and drop the bad sidecar

@@ -9,11 +9,11 @@
 * ``workers > 1`` runs the one parallel executor: persistent warm
   worker processes each receive leases of consecutive jobs and stream
   one record back per job, amortising process spawn/teardown across
-  the lease and shipping large ndarrays through per-worker
-  shared-memory rings (:mod:`repro.engine.shm`) instead of the pickle
+  the lease and shipping large result ndarrays through a per-worker
+  shared-memory ring (:mod:`repro.engine.shm`) instead of the pickle
   pipe; ``lease_size=1`` is per-job dispatch. Jobs cross the boundary
-  as plain dict payloads (runner *name* + kwargs + seed), and each
-  worker resolves the body via :mod:`repro.engine.registry`. A worker
+  pickled, as plain dict payloads (runner *name* + kwargs + seed), and
+  each worker resolves the body via :mod:`repro.engine.registry`. A worker
   that dies mid-job (segfault, OOM kill, injected crash) settles *that
   job* as a structured :class:`JobFailure` with ``error_type ==
   "WorkerCrashError"``, the lease's unstarted remainder is re-leased
@@ -34,7 +34,8 @@
   result is marked partial.
 * With a :class:`~repro.engine.cache.ResultCache` attached, results are
   normalised via ``to_jsonable`` and persisted, and matching jobs are
-  served from disk on later sweeps (``status == "cached"``). A failed
+  served from disk on later sweeps (``status == "cached"``); the cache
+  decodes fresh puts and hits alike (``decode_value``). A failed
   put (disk full, permissions) is recorded and warned about, never
   fatal — the in-memory result still settles normally.
 * A :class:`~repro.faults.FaultPlan` (``faults=``) injects
@@ -72,7 +73,7 @@ from repro.engine.cache import ResultCache, default_code_version
 from repro.engine.errors import TRANSIENT_ERRORS, JobTimeoutError
 from repro.engine.progress import ProgressTracker
 from repro.engine.spec import JobSpec, SweepSpec
-from repro.experiments.export import from_jsonable, to_jsonable
+from repro.experiments.export import to_jsonable
 from repro.kernels.backend import get_backend, use_backend
 from repro.obs.events import EventSink
 from repro.obs.metrics import MetricsRegistry
@@ -556,9 +557,7 @@ def _settle_allocator() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _lease_worker_main(
-    conn, out_ring_name: Optional[str], in_ring_name: Optional[str]
-) -> None:
+def _lease_worker_main(conn, ring_name: Optional[str]) -> None:
     """Persistent worker loop: recv a lease, stream one record per job.
 
     Each iteration receives a list of job payloads (one lease), runs
@@ -568,12 +567,10 @@ def _lease_worker_main(
     ``None`` is the shutdown sentinel; a closed pipe means the parent
     is gone and the worker just exits.
 
-    Large ndarrays ride shared-memory rings instead of the pipe:
-    result arrays are encoded into ``out_ring_name``'s ring, and
-    kwargs arriving with shm descriptors are rebuilt from
-    ``in_ring_name``'s. A crash anywhere in here closes the pipe
-    without a record for the in-flight job — the parent's crash
-    signal.
+    Large result ndarrays ride ``ring_name``'s shared-memory ring
+    instead of the pipe; kwargs arrive pickled. A crash anywhere in
+    here closes the pipe without a record for the in-flight job — the
+    parent's crash signal.
 
     Fork copies the parent's signal state. Under an asyncio loop
     (``repro serve``) that is a no-op SIGTERM handler, which would let
@@ -588,10 +585,7 @@ def _lease_worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.set_wakeup_fd(-1)
     _settle_allocator()
-    out_ring = (
-        shm_mod.ShmRing.attach(out_ring_name) if out_ring_name else None
-    )
-    in_ring = shm_mod.ShmRing.attach(in_ring_name) if in_ring_name else None
+    ring = shm_mod.ShmRing.attach(ring_name) if ring_name else None
     try:
         while True:
             try:
@@ -601,14 +595,10 @@ def _lease_worker_main(
             if lease is None:
                 return
             for payload in lease:
-                if in_ring is not None:
-                    payload["kwargs"] = shm_mod.decode_arrays(
-                        payload["kwargs"], in_ring
-                    )
                 record = _execute_payload(payload)
-                if out_ring is not None and record.get("status") == "ok":
+                if ring is not None and record.get("status") == "ok":
                     encoded, shipped = shm_mod.encode_arrays(
-                        record["value"], out_ring
+                        record["value"], ring
                     )
                     if shipped:
                         record["value"] = encoded
@@ -618,10 +608,8 @@ def _lease_worker_main(
                 except (EOFError, OSError):
                     return
     finally:
-        if out_ring is not None:
-            out_ring.close()
-        if in_ring is not None:
-            in_ring.close()
+        if ring is not None:
+            ring.close()
         try:
             conn.close()
         except OSError:
@@ -632,30 +620,20 @@ class _LeaseWorker:
     """Parent-side handle on one persistent lease worker.
 
     Owns the worker process, its duplex pipe, and its shared-memory
-    rings (parent-owned: created here, unlinked in :meth:`destroy`,
-    never by the child). ``lease`` holds the *original* (spec,
-    payload) pairs — shm-encoded copies exist only on the wire, so a
-    requeued remainder after a crash re-encodes against the
-    replacement worker's ring instead of dangling into a dead one.
+    result ring (parent-owned: created here, unlinked in
+    :meth:`destroy`, never by the child). ``lease`` holds the (spec,
+    payload) pairs in flight, so a crash's unstarted remainder can be
+    re-leased to a replacement worker.
     """
 
-    def __init__(self, ctx, shm_bytes: int, ship_inputs: bool) -> None:
-        self.out_ring = (
+    def __init__(self, ctx, shm_bytes: int) -> None:
+        self.ring = (
             shm_mod.ShmRing.create(shm_bytes) if shm_bytes > 0 else None
-        )
-        self.in_ring = (
-            shm_mod.ShmRing.create(shm_bytes)
-            if shm_bytes > 0 and ship_inputs
-            else None
         )
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_lease_worker_main,
-            args=(
-                child_conn,
-                self.out_ring.name if self.out_ring else None,
-                self.in_ring.name if self.in_ring else None,
-            ),
+            args=(child_conn, self.ring.name if self.ring else None),
             daemon=True,
         )
         self.proc.start()
@@ -679,20 +657,7 @@ class _LeaseWorker:
 
     def dispatch(self, lease: List[Tuple[JobSpec, Dict[str, Any]]]) -> None:
         """Ship one lease; raises ``OSError`` if the worker is gone."""
-        wire = []
-        for _, payload in lease:
-            if self.in_ring is not None and shm_mod.contains_large_array(
-                payload["kwargs"]
-            ):
-                # Non-blocking: a full ring leaves arrays inline (the
-                # pipe still works), it never stalls the dispatcher.
-                encoded, shipped = shm_mod.encode_arrays(
-                    payload["kwargs"], self.in_ring, timeout_s=0.0
-                )
-                if shipped:
-                    payload = dict(payload, kwargs=encoded)
-            wire.append(payload)
-        self.conn.send(wire)
+        self.conn.send([payload for _, payload in lease])
         self.lease = list(lease)
         self.next_i = 0
         self.started = time.monotonic()
@@ -731,10 +696,8 @@ class _LeaseWorker:
             self.conn.close()
         except OSError:
             pass
-        if self.out_ring is not None:
-            self.out_ring.unlink()
-        if self.in_ring is not None:
-            self.in_ring.unlink()
+        if self.ring is not None:
+            self.ring.unlink()
 
 
 def _auto_lease_size(n_jobs: int, n_workers: int) -> int:
@@ -789,14 +752,11 @@ def _run_batch_leases(
         pairs[start : start + lease_size]
         for start in range(0, len(pairs), lease_size)
     )
-    ship_inputs = shm_bytes > 0 and any(
-        shm_mod.contains_large_array(payload["kwargs"]) for _, payload in pairs
-    )
     workers: List[_LeaseWorker] = []
     skipped: List[JobSpec] = []
 
     def _spawn() -> None:
-        workers.append(_LeaseWorker(ctx, shm_bytes, ship_inputs))
+        workers.append(_LeaseWorker(ctx, shm_bytes))
 
     def _fail_worker(worker: _LeaseWorker, reason: Optional[str]) -> None:
         """Settle the in-flight job as a crash, re-lease the rest."""
@@ -860,9 +820,9 @@ def _run_batch_leases(
                     _fail_worker(worker, reason=None)
                     continue
                 spec, _ = worker.current()
-                if worker.out_ring is not None and record.get("shm_arrays"):
+                if worker.ring is not None and record.get("shm_arrays"):
                     record["value"] = shm_mod.decode_arrays(
-                        record["value"], worker.out_ring
+                        record["value"], worker.ring
                     )
                 settle(spec, record)
                 next_spec = worker.advance()
@@ -886,7 +846,7 @@ def _run_batch_leases(
     finally:
         # Clean end: every worker is idle, the sentinel lets it exit
         # on its own. Abort: busy workers are terminated. Either way
-        # destroy() joins and unlinks the rings — no process and no
+        # destroy() joins and unlinks the ring — no process and no
         # shm segment survives this function.
         for worker in workers:
             if worker.busy:
@@ -979,8 +939,10 @@ def execute(
     """Run every job to an outcome; never raises for job failures.
 
     With ``cache`` attached, values (fresh and cached alike) are
-    normalised through ``to_jsonable`` and decoded back through
-    ``from_jsonable``, so both paths return identical data *and types*
+    normalised through ``to_jsonable`` and decoded back through the
+    cache's one decoder (``from_jsonable`` plus its sidecars, see
+    :meth:`ResultCache.decode_value`), so both paths return identical
+    data *and types*
     (non-finite floats stay floats); without it, runners' raw
     in-memory results pass through. Corrupt cache entries are
     quarantined and recomputed; failed puts are warned about and
@@ -1021,9 +983,9 @@ def execute(
     persistent warm workers (:func:`_run_batch_leases`; process spawn
     cost is amortised over the lease). ``lease_size=1`` is per-job
     dispatch; ``None`` picks ~4 leases per worker. ``shm_bytes`` sizes
-    the per-worker shared-memory rings that carry large ndarrays
-    zero-copy (``0`` disables, ``None`` = 8 MiB default). Both are pure
-    transport knobs: outcomes are bit-identical across every
+    the per-worker shared-memory ring that carries large result
+    ndarrays zero-copy (``0`` disables, ``None`` = 8 MiB default). Both
+    are pure transport knobs: outcomes are bit-identical across every
     combination, and to ``workers=1``. A ``timeout_s`` sweep called off
     the main thread runs in one lease worker (see :func:`_lease_workers`).
 
@@ -1095,7 +1057,7 @@ def execute(
                 hit, value = cache.get(spec, key)
                 if hit:
                     outcome = JobOutcome(
-                        spec=spec, status="cached", value=from_jsonable(value)
+                        spec=spec, status="cached", value=value
                     )
                     outcomes[spec.index] = outcome
                     registry_.counter("jobs_cached").inc()

@@ -3,9 +3,10 @@
 The batch-lease executor (:mod:`repro.engine.pool`) streams one result
 record per job back through a pipe. Pickling a multi-megabyte ndarray
 through that pipe costs two copies and a serialisation pass; this
-module ships the *bytes* of large arrays through one
+module ships the *bytes* of large result arrays through one
 ``multiprocessing.shared_memory`` segment per worker instead, leaving
-only a tiny descriptor in the pickled record.
+only a tiny descriptor in the pickled record. Only results take the
+ring: job kwargs ride the pipe pickled.
 
 Design:
 
@@ -18,7 +19,7 @@ Design:
   one reader (the parent) never write the same cursor, so plain
   aligned stores are race-free on every platform CPython runs on.
 * :func:`encode_arrays` / :func:`decode_arrays` — recursive descriptor
-  substitution over job kwargs/results. Numeric ndarrays at or above
+  substitution over job results. Numeric ndarrays at or above
   ``min_bytes`` are written into the ring and replaced with a
   ``{"__shm.ndarray__": {...}}`` marker; everything else passes
   through untouched (and still rides the pipe pickled). A full ring is
@@ -34,7 +35,6 @@ Workers only attach and ``close()``.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 import time
 from multiprocessing import resource_tracker, shared_memory
@@ -199,7 +199,7 @@ class ShmRing:
         """Copy ``nbytes`` at absolute position ``pos`` out of the ring.
 
         Returns a ``bytearray`` so arrays built over it are writable
-        (decoded kwargs must behave like freshly constructed inputs).
+        (decoded results must behave like freshly computed ones).
         """
         start = pos % self.capacity
         out = bytearray(nbytes)
@@ -219,17 +219,6 @@ def _shippable(value: Any, min_bytes: int) -> bool:
         and value.dtype.kind in "biuf"
         and value.nbytes >= min_bytes
     )
-
-
-def contains_large_array(value: Any, min_bytes: int = DEFAULT_MIN_BYTES) -> bool:
-    """Whether ``value`` holds any ndarray worth shipping out-of-band."""
-    if _shippable(value, min_bytes):
-        return True
-    if isinstance(value, dict):
-        return any(contains_large_array(v, min_bytes) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return any(contains_large_array(v, min_bytes) for v in value)
-    return False
 
 
 def encode_arrays(
@@ -296,13 +285,3 @@ def decode_arrays(value: Any, ring: ShmRing) -> Any:
     if isinstance(value, tuple):
         return tuple(decode_arrays(v, ring) for v in value)
     return value
-
-
-def array_digest(arr: np.ndarray) -> str:
-    """Content address of one ndarray (dtype + shape + bytes)."""
-    arr = np.ascontiguousarray(arr)
-    digest = hashlib.sha256()
-    digest.update(arr.dtype.str.encode())
-    digest.update(str(arr.shape).encode())
-    digest.update(memoryview(arr).cast("B"))
-    return digest.hexdigest()[:32]

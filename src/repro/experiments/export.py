@@ -4,7 +4,9 @@ released data files).
 Runner outputs mix dataclasses, numpy arrays, and plain dicts;
 :func:`to_jsonable` normalises all of that, and :func:`export_json`
 writes one experiment's regenerated artifact to disk the way the
-paper's repository ships per-figure processed results.
+paper's repository ships per-figure processed results. This module is
+the one place that knows the strict-JSON format: :func:`from_jsonable`
+is its one decoder.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, Sequence, Union
@@ -30,9 +33,11 @@ NEG_INF_SENTINEL = "-Infinity"
 
 
 def _finite_or_sentinel(value: float) -> Union[float, str, None]:
-    if np.isfinite(value):
-        return value
-    if np.isnan(value):
+    # float(): an np.float64 (a float subclass) leaves as a plain float,
+    # the type a cache hit reads back.
+    if math.isfinite(value):
+        return float(value)
+    if math.isnan(value):
         return None
     return POS_INF_SENTINEL if value > 0 else NEG_INF_SENTINEL
 
@@ -47,11 +52,12 @@ def to_jsonable(value: Any, array_hook: Any = None) -> Any:
     always *strict* JSON. Objects with no natural representation fall
     back to ``repr`` so exports never crash mid-campaign.
 
-    ``array_hook`` (when given) sees every ndarray first and may
-    return a JSON-serialisable replacement — the result cache uses
-    this to divert large arrays into ``.npy`` sidecars instead of
-    inflated JSON lists. A hook returning ``None`` declines, and the
-    array takes the normal list path (including the export size cap).
+    ``array_hook`` (when given) is offered every ndarray within the
+    export size cap and may return a JSON-serialisable replacement —
+    the result cache uses this to divert large arrays into ``.npy``
+    sidecars instead of inflated JSON lists. A hook returning ``None``
+    declines, and the array takes the normal list path. An array over
+    the cap raises before any hook sees it.
     """
     if isinstance(value, float):
         return _finite_or_sentinel(value)
@@ -64,14 +70,14 @@ def to_jsonable(value: Any, array_hook: Any = None) -> Any:
     if isinstance(value, np.floating):
         return _finite_or_sentinel(float(value))
     if isinstance(value, np.ndarray):
-        if array_hook is not None:
-            encoded = array_hook(value)
-            if encoded is not None:
-                return encoded
         if value.size > _MAX_ARRAY_EXPORT:
             raise ValueError(
                 f"array of {value.size} elements exceeds the export cap"
             )
+        if array_hook is not None:
+            encoded = array_hook(value)
+            if encoded is not None:
+                return encoded
         return [to_jsonable(v, array_hook) for v in value.tolist()]
     if isinstance(value, enum.Enum):
         return value.value
@@ -115,17 +121,24 @@ def sweep_payload(outcomes: Sequence[Any]) -> Dict[str, Any]:
     }
 
 
-def from_jsonable(value: Any) -> Any:
+def from_jsonable(value: Any, array_hook: Any = None) -> Any:
     """Decode :func:`to_jsonable`'s non-finite sentinels back to floats.
 
     ``"Infinity"``/``"-Infinity"`` strings become ``±inf`` recursively
     through dicts and lists; everything else passes through untouched
     (NaN was encoded as ``null`` and stays ``None`` — a missing
-    measurement has no identity worth resurrecting). This is what the
-    engine applies on its cached/normalised return path, so a sweep
-    yields the *same types* with or without a cache attached. The one
-    documented collision: a runner that legitimately returns the
-    literal string ``"Infinity"`` will come back as a float.
+    measurement has no identity worth resurrecting). This is the
+    engine's one decoder, for fresh results and cache hits alike, so a
+    sweep yields the *same types* with or without a cache attached.
+    The one documented collision: a runner that legitimately returns
+    the literal string ``"Infinity"`` will come back as a float.
+
+    ``array_hook`` mirrors :func:`to_jsonable`'s: when given, it is
+    offered every single-key dict first and may return that dict's
+    decoded replacement — the result cache uses this to turn an
+    ``.npy`` sidecar descriptor into the lists an inline array decodes
+    to. A hook returning ``None`` declines, and the dict decodes as
+    usual.
     """
     if isinstance(value, str):
         if value == POS_INF_SENTINEL:
@@ -134,14 +147,28 @@ def from_jsonable(value: Any) -> Any:
             return float("-inf")
         return value
     if isinstance(value, dict):
-        return {key: from_jsonable(item) for key, item in value.items()}
+        if array_hook is not None and len(value) == 1:
+            decoded = array_hook(value)
+            if decoded is not None:
+                return decoded
+        return {
+            key: from_jsonable(item, array_hook)
+            for key, item in value.items()
+        }
     if isinstance(value, list):
-        return [from_jsonable(item) for item in value]
+        return [from_jsonable(item, array_hook) for item in value]
     return value
 
 
 def export_json(result: Any, path: PathLike, indent: int = 1) -> Path:
-    """Write a runner result as strict JSON; returns the written path.
+    """Write a runner result as strict JSON; returns the written path."""
+    return write_json(to_jsonable(result), path, indent=indent)
+
+
+def write_json(payload: Any, path: PathLike, indent: int = 1) -> Path:
+    """Write an already-converted payload (a :func:`to_jsonable` or
+    :func:`sweep_payload` result) as strict JSON without walking it
+    again; returns the written path.
 
     ``allow_nan=False`` guarantees the emitted file parses under every
     strict JSON reader — :func:`to_jsonable` has already rewritten any
@@ -150,6 +177,6 @@ def export_json(result: Any, path: PathLike, indent: int = 1) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as handle:
-        json.dump(to_jsonable(result), handle, indent=indent, allow_nan=False)
+        json.dump(payload, handle, indent=indent, allow_nan=False)
         handle.write("\n")
     return path

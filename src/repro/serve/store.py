@@ -37,8 +37,8 @@ from repro.engine.cache import (
     _descriptors,
     _npy_bytes,
     _write_atomic,
+    array_digest,
 )
-from repro.engine.shm import array_digest
 from repro.engine.spec import JobSpec
 
 PathLike = Union[str, Path]

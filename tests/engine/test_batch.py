@@ -81,6 +81,29 @@ class TestBatchExecution:
         assert canon[0] == canon[1]
         assert active_segments() == ()
 
+    def test_large_array_kwargs_ride_the_pipe(self):
+        # Kwargs reach lease workers pickled; only results take the
+        # shared-memory ring, and the echoed arrays come back through it.
+        rng = np.random.default_rng(3)
+        jobs = [
+            JobSpec(
+                runner="test.echo",
+                kwargs={"values": rng.standard_normal(200_000)},
+                index=i,
+                seed=50 + i,
+            )
+            for i in range(6)
+        ]
+        serial = execute(jobs, workers=1)
+        batched = execute(jobs, workers=2, lease_size=1)
+        assert batched.ok_count == 6
+        for a, b in zip(serial.values(), batched.values()):
+            assert a["seed"] == b["seed"]
+            assert a["values"].dtype == b["values"].dtype
+            assert a["values"].tobytes() == b["values"].tobytes()
+            assert b["values"].flags.writeable
+        assert active_segments() == ()
+
 
 class TestCrashIsolation:
     def test_crash_fails_one_job_not_the_lease(self):

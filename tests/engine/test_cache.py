@@ -559,3 +559,27 @@ class TestArraySidecars:
             to_jsonable({"v": big})
         with pytest.raises(ValueError, match="export cap"):
             cache.encode_value({"v": big})
+
+
+class TestDigest:
+    """``array_digest``: the content address that names a sidecar."""
+
+    def test_digest_stable_and_distinct(self):
+        import numpy as np
+
+        from repro.engine.cache import array_digest
+
+        a = np.arange(100, dtype=np.float64)
+        assert array_digest(a) == array_digest(a.copy())
+        assert array_digest(a) != array_digest(a.astype(np.float32))
+        assert array_digest(a) != array_digest(a.reshape(10, 10))
+        assert array_digest(a) != array_digest(a + 1.0)
+
+    def test_digest_of_noncontiguous_view_matches_copy(self):
+        import numpy as np
+
+        from repro.engine.cache import array_digest
+
+        base = np.arange(200, dtype=np.float64)
+        view = base[::2]
+        assert array_digest(view) == array_digest(view.copy())

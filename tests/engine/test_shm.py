@@ -9,8 +9,6 @@ from repro.engine.shm import (
     SHM_MARKER,
     ShmRing,
     active_segments,
-    array_digest,
-    contains_large_array,
     decode_arrays,
     encode_arrays,
 )
@@ -113,12 +111,6 @@ class TestEncodeDecode:
         assert shipped == 0
         assert encoded["values"] is arr
 
-    def test_contains_large_array(self):
-        big = np.zeros(100_000)
-        assert contains_large_array({"a": {"b": big}})
-        assert not contains_large_array({"a": list(range(100))})
-        assert not contains_large_array({"a": np.zeros(4)})
-
     def test_full_ring_leaves_array_inline(self):
         tiny = ShmRing.create(4096)
         try:
@@ -204,17 +196,3 @@ def _child_read(name, pos, nbytes, conn):
     finally:
         ring.close()
         conn.close()
-
-
-class TestDigest:
-    def test_digest_stable_and_distinct(self):
-        a = np.arange(100, dtype=np.float64)
-        assert array_digest(a) == array_digest(a.copy())
-        assert array_digest(a) != array_digest(a.astype(np.float32))
-        assert array_digest(a) != array_digest(a.reshape(10, 10))
-        assert array_digest(a) != array_digest(a + 1.0)
-
-    def test_digest_of_noncontiguous_view_matches_copy(self):
-        base = np.arange(200, dtype=np.float64)
-        view = base[::2]
-        assert array_digest(view) == array_digest(view.copy())
