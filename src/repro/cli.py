@@ -687,23 +687,6 @@ def _cmd_sweep(args) -> int:
         specs = artifact_jobs(
             args.artifacts, base_seed=args.seed, scale=args.scale
         )
-    if fleet_spec is not None:
-        # Emits reducer_snapshot events into the ledger as shard
-        # partials settle, so `repro watch` shows converging fleet
-        # quantiles mid-sweep (execute() attaches the events sink).
-        from repro.fleet import FleetSnapshotTracker
-
-        tracker: ProgressTracker = FleetSnapshotTracker(
-            shards_total=len(specs),
-            stream=None if args.quiet else sys.stderr,
-        )
-    else:
-        tracker = ProgressTracker(stream=None if args.quiet else sys.stderr)
-    events_sink = None
-    if args.events:
-        from repro.obs.events import EventLog
-
-        events_sink = EventLog(args.events)
     faults = None
     if args.inject:
         from repro.faults import plan_from_args
@@ -713,6 +696,26 @@ def _cmd_sweep(args) -> int:
         except ValueError as exc:
             print(f"error: bad --inject spec: {exc}", file=sys.stderr)
             return 2
+    events_sink = None
+    if args.events:
+        from repro.obs.events import EventLog
+
+        # The ledger owns its ledger_tear plan; execute() takes the
+        # cache and worker faults.
+        events_sink = EventLog(args.events, faults=faults)
+    if fleet_spec is not None:
+        # Emits reducer_snapshot events into the ledger as shard
+        # partials settle, so `repro watch` shows converging fleet
+        # quantiles mid-sweep.
+        from repro.fleet import FleetSnapshotTracker
+
+        tracker: ProgressTracker = FleetSnapshotTracker(
+            shards_total=len(specs),
+            stream=None if args.quiet else sys.stderr,
+            events=events_sink,
+        )
+    else:
+        tracker = ProgressTracker(stream=None if args.quiet else sys.stderr)
     gauge_results = None
     try:
         try:
@@ -880,13 +883,8 @@ def _sweep_gauges(args, result, events_sink, fleet_summary=None):
 
         counts = {
             status: count
-            for status, count in (
-                ("ok", result.ok_count),
-                ("cached", result.cached_count),
-                ("failed", result.failed_count),
-                ("skipped", result.skipped_count),
-            )
-            if count
+            for status, count in result.counts.items()
+            if status != "jobs" and count
         }
         with open(args.metrics, "w", encoding="utf-8") as handle:
             handle.write(render_openmetrics(evaluated, counts))

@@ -32,6 +32,11 @@ PID/thread-unique temp name beside its target and ``os.replace``d over
 the target, so two processes (or two threads of the serve pool) racing
 to persist the same key both land whole files — last writer wins,
 readers never observe a torn entry.
+
+A cache holds no sweep state. ``get``, ``put``, ``encode_value`` and
+``gc`` take the calling sweep's event sink (``events``), and ``get``
+and ``put`` its fault plan (``faults``), so sweeps that share one cache
+each find their own ``cache_*`` events in their own ledger.
 """
 
 from __future__ import annotations
@@ -268,9 +273,10 @@ def clear_code_version_memo() -> None:
 class ResultCache:
     """A directory of ``<runner>-<key>.json`` result files.
 
-    With an :class:`repro.obs.events.EventSink` attached (``events``,
-    usually wired by ``execute``), every hit and store emits a
-    ``cache_hit``/``cache_put`` event into the run ledger.
+    The cache holds no sweep state. A call that can emit an event takes
+    the calling sweep's :class:`repro.obs.events.EventSink` as
+    ``events``: every hit and store emits a ``cache_hit``/``cache_put``
+    event into that sweep's ledger, and nowhere else.
 
     Corrupt entries — unparsable JSON, or JSON without the expected
     record shape — are *quarantined*: moved into
@@ -280,19 +286,15 @@ class ResultCache:
     simply recomputed. A merely unreadable entry (permissions, I/O
     error) is left in place and counts as a miss.
 
-    ``faults`` accepts a :class:`repro.faults.FaultPlan` (wired by
-    ``execute`` for the duration of a sweep); ``cache_corrupt``
+    :meth:`get` and :meth:`put` also take the sweep's
+    :class:`repro.faults.FaultPlan` as ``faults``: ``cache_corrupt``
     damages an entry on disk just before it is read and
     ``cache_put_fail`` makes :meth:`put` raise ``ENOSPC``.
     """
 
-    def __init__(
-        self, root: PathLike, events: Optional[EventSink] = None
-    ) -> None:
+    def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.events = events
-        self.faults: Optional[Any] = None
 
     def key_for(self, spec: JobSpec, code_version: Optional[str] = None) -> str:
         """Stable content key for one job under one code version."""
@@ -328,13 +330,16 @@ class ResultCache:
         return self.root / "arrays"
 
     # -- array sidecars --------------------------------------------------
-    def _store_array(self, arr: "np.ndarray") -> str:
+    def _store_array(
+        self, arr: "np.ndarray", events: Optional[EventSink] = None
+    ) -> str:
         """Persist one ndarray as ``arrays/<digest>.npy``; returns digest.
 
         Content-addressed, so identical arrays across entries share one
         file and a re-put of the same key is a no-op. Written atomically
         like entries: concurrent writers of the same digest both land
-        whole files with identical bytes.
+        whole files with identical bytes. ``events`` receives any
+        eviction the write causes (a plain cache causes none).
         """
         arr = np.ascontiguousarray(arr)
         digest = array_digest(arr)
@@ -368,7 +373,7 @@ class ResultCache:
         return arr
 
     def encode_value(
-        self, value: Any
+        self, value: Any, *, events: Optional[EventSink] = None
     ) -> Tuple[Any, Dict[str, "np.ndarray"]]:
         """Normalise a job result, diverting large arrays to sidecars.
 
@@ -381,7 +386,7 @@ class ResultCache:
         export cap before offering an array, so cached and uncached
         sweeps fail (or not) identically. A sidecar write error also
         declines to inline: storage trouble degrades performance,
-        never correctness.
+        never correctness. ``events`` is the calling sweep's sink.
         """
         arrays: Dict[str, np.ndarray] = {}
         stored: List[str] = []
@@ -390,7 +395,7 @@ class ResultCache:
             if arr.size < SIDECAR_MIN_ELEMS or arr.dtype.kind not in "biuf":
                 return None
             try:
-                digest = self._store_array(arr)
+                digest = self._store_array(arr, events)
             except OSError:
                 return None
             stored.append(digest)
@@ -439,9 +444,10 @@ class ResultCache:
         spec: JobSpec,
         reason: str,
         sidecars: Iterable[str] = (),
+        events: Optional[EventSink] = None,
     ) -> None:
         """Move a corrupt entry aside (for post-mortems), unlink the bad
-        ``sidecars`` it referenced, and warn."""
+        ``sidecars`` it referenced, warn, and tell ``events``."""
         for digest in sidecars:
             with contextlib.suppress(OSError):
                 (self.arrays_dir / f"{digest}.npy").unlink()
@@ -464,8 +470,8 @@ class ResultCache:
             RuntimeWarning,
             stacklevel=3,
         )
-        if self.events is not None:
-            self.events.emit(
+        if events is not None:
+            events.emit(
                 "cache_quarantine",
                 index=spec.index,
                 runner=spec.runner,
@@ -475,12 +481,19 @@ class ResultCache:
                 reason=reason,
             )
 
-    def get(self, spec: JobSpec, key: str) -> Tuple[bool, Any]:
+    def get(
+        self,
+        spec: JobSpec,
+        key: str,
+        *,
+        events: Optional[EventSink] = None,
+        faults: Optional[Any] = None,
+    ) -> Tuple[bool, Any]:
         """(hit, value), the value decoded as :meth:`decode_value` decodes
         a fresh put. Corrupt entries are quarantined and miss."""
         path = self.path_for(spec, key)
-        if self.faults is not None and path.exists():
-            fault = self.faults.decide(
+        if faults is not None and path.exists():
+            fault = faults.decide(
                 "cache_corrupt", index=spec.index, runner=spec.runner
             )
             if fault is not None:
@@ -497,10 +510,12 @@ class ResultCache:
             # leave it alone, recompute this time.
             return False, None
         except ValueError as exc:
-            self._quarantine(path, spec, f"invalid JSON: {exc}")
+            self._quarantine(
+                path, spec, f"invalid JSON: {exc}", events=events
+            )
             return False, None
         if not isinstance(record, dict) or "value" not in record:
-            self._quarantine(path, spec, "not a cache record")
+            self._quarantine(path, spec, "not a cache record", events=events)
             return False, None
         try:
             value = self.decode_value(record["value"])
@@ -516,7 +531,9 @@ class ResultCache:
                     self._load_array(desc)
                 except (OSError, ValueError):
                     bad.append(desc["digest"])
-            self._quarantine(path, spec, f"unusable array sidecar: {exc}", bad)
+            self._quarantine(
+                path, spec, f"unusable array sidecar: {exc}", bad, events
+            )
             return False, None
         try:
             # Touch on hit: gc evicts by mtime, so recency must track
@@ -524,8 +541,8 @@ class ResultCache:
             os.utime(path)
         except OSError:
             pass
-        if self.events is not None:
-            self.events.emit(
+        if events is not None:
+            events.emit(
                 "cache_hit",
                 index=spec.index,
                 runner=spec.runner,
@@ -534,7 +551,15 @@ class ResultCache:
             )
         return True, value
 
-    def put(self, spec: JobSpec, key: str, value: Any) -> Path:
+    def put(
+        self,
+        spec: JobSpec,
+        key: str,
+        value: Any,
+        *,
+        events: Optional[EventSink] = None,
+        faults: Optional[Any] = None,
+    ) -> Path:
         """Atomically persist one normalised job result.
 
         Written with :func:`_write_atomic`, so a crash mid-write can
@@ -542,8 +567,8 @@ class ResultCache:
         see the old entry, the new entry, or nothing.
         """
         path = self.path_for(spec, key)
-        if self.faults is not None:
-            fault = self.faults.decide(
+        if faults is not None:
+            fault = faults.decide(
                 "cache_put_fail", index=spec.index, runner=spec.runner
             )
             if fault is not None:
@@ -559,9 +584,9 @@ class ResultCache:
             "value": value,
         }
         data = (json.dumps(record, allow_nan=False) + "\n").encode()
-        self._write_entry(path, data, value)
-        if self.events is not None:
-            self.events.emit(
+        self._write_entry(path, data, value, events)
+        if events is not None:
+            events.emit(
                 "cache_put",
                 index=spec.index,
                 runner=spec.runner,
@@ -570,8 +595,15 @@ class ResultCache:
             )
         return path
 
-    def _write_entry(self, path: Path, data: bytes, value: Any) -> None:
-        """Land one serialised record (``value`` is the value it holds)."""
+    def _write_entry(
+        self,
+        path: Path,
+        data: bytes,
+        value: Any,
+        events: Optional[EventSink] = None,
+    ) -> None:
+        """Land one serialised record (``value`` is the value it holds;
+        ``events`` receives any eviction the write causes)."""
         _write_atomic(path, data)
 
     # -- maintenance -----------------------------------------------------
@@ -635,7 +667,9 @@ class ResultCache:
         """Entry plus sidecar bytes (quarantine and staging excluded)."""
         return self.scan().total
 
-    def gc(self, max_bytes: int) -> Dict[str, Any]:
+    def gc(
+        self, max_bytes: int, *, events: Optional[EventSink] = None
+    ) -> Dict[str, Any]:
         """Evict least-recently-used entries until ≤ ``max_bytes``.
 
         Sizes count entries plus sidecars (see :meth:`size_bytes`), and
@@ -644,11 +678,16 @@ class ResultCache:
         entry that references them. Returns a summary dict:
         ``evicted``/``freed_bytes``/``arrays_removed`` for what was
         removed, ``kept``/``size_bytes`` for what remains. Each eviction
-        emits a ``cache_evict`` event when a sink is attached.
+        emits a ``cache_evict`` event into ``events``.
         """
-        return self._evict(self.scan(), max(0, int(max_bytes)))
+        return self._evict(self.scan(), max(0, int(max_bytes)), events)
 
-    def _evict(self, account: CacheAccount, max_bytes: int) -> Dict[str, Any]:
+    def _evict(
+        self,
+        account: CacheAccount,
+        max_bytes: int,
+        events: Optional[EventSink] = None,
+    ) -> Dict[str, Any]:
         """Unlink orphan sidecars, then LRU entries, each with the sidecars
         only it held, until ``account`` fits ``max_bytes``."""
         evicted = 0
@@ -663,8 +702,8 @@ class ResultCache:
             evicted += 1
             arrays += removed
             freed += size + sidecar_bytes
-            if self.events is not None:
-                self.events.emit(
+            if events is not None:
+                events.emit(
                     "cache_evict",
                     entry=name,
                     bytes=size + sidecar_bytes,

@@ -157,25 +157,39 @@ class SweepResult:
         return [o.failure for o in self.outcomes if o.failure is not None]
 
     @property
+    def counts(self) -> Dict[str, int]:
+        """``jobs`` and the ``ok``/``cached``/``failed``/``skipped``
+        outcome counts, from one pass: the one tally the ledger's
+        ``run_summary``/``sweep_end``, the run manifest, serve's job
+        records and the CLI's OpenMetrics export all report."""
+        counts = dict(
+            jobs=len(self.outcomes), ok=0, cached=0, failed=0, skipped=0
+        )
+        for outcome in self.outcomes:
+            counts[outcome.status] += 1
+        return counts
+
+    @property
     def ok_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "ok")
+        return self.counts["ok"]
 
     @property
     def cached_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "cached")
+        return self.counts["cached"]
 
     @property
     def failed_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "failed")
+        return self.counts["failed"]
 
     @property
     def skipped_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "skipped")
+        return self.counts["skipped"]
 
     @property
     def partial(self) -> bool:
         """True when the sweep completed with holes (failed/skipped)."""
-        return any(o.status in ("failed", "skipped") for o in self.outcomes)
+        counts = self.counts
+        return bool(counts["failed"] or counts["skipped"])
 
     @property
     def cache_hit_rate(self) -> float:
@@ -198,13 +212,12 @@ class SweepResult:
             )
 
     def summary(self) -> str:
-        n = len(self.outcomes)
-        skipped = self.skipped_count
-        tail = f", {skipped} skipped" if skipped else ""
+        counts = self.counts
+        tail = f", {counts['skipped']} skipped" if counts["skipped"] else ""
         return (
-            f"{n} jobs: {self.ok_count} ok, {self.cached_count} cached, "
-            f"{self.failed_count} failed{tail} in {self.elapsed_s:.2f}s "
-            f"({self.jobs_per_sec:.2f} jobs/s)"
+            f"{counts['jobs']} jobs: {counts['ok']} ok, "
+            f"{counts['cached']} cached, {counts['failed']} failed{tail} "
+            f"in {self.elapsed_s:.2f}s ({self.jobs_per_sec:.2f} jobs/s)"
         )
 
 
@@ -557,7 +570,7 @@ def _settle_allocator() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _lease_worker_main(conn, ring_name: Optional[str]) -> None:
+def _lease_worker_main(conn, ring_name: str) -> None:
     """Persistent worker loop: recv a lease, stream one record per job.
 
     Each iteration receives a list of job payloads (one lease), runs
@@ -585,7 +598,7 @@ def _lease_worker_main(conn, ring_name: Optional[str]) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.set_wakeup_fd(-1)
     _settle_allocator()
-    ring = shm_mod.ShmRing.attach(ring_name) if ring_name else None
+    ring = shm_mod.ShmRing.attach(ring_name)
     try:
         while True:
             try:
@@ -596,7 +609,7 @@ def _lease_worker_main(conn, ring_name: Optional[str]) -> None:
                 return
             for payload in lease:
                 record = _execute_payload(payload)
-                if ring is not None and record.get("status") == "ok":
+                if record.get("status") == "ok":
                     encoded, shipped = shm_mod.encode_arrays(
                         record["value"], ring
                     )
@@ -608,8 +621,7 @@ def _lease_worker_main(conn, ring_name: Optional[str]) -> None:
                 except (EOFError, OSError):
                     return
     finally:
-        if ring is not None:
-            ring.close()
+        ring.close()
         try:
             conn.close()
         except OSError:
@@ -620,20 +632,19 @@ class _LeaseWorker:
     """Parent-side handle on one persistent lease worker.
 
     Owns the worker process, its duplex pipe, and its shared-memory
-    result ring (parent-owned: created here, unlinked in
-    :meth:`destroy`, never by the child). ``lease`` holds the (spec,
-    payload) pairs in flight, so a crash's unstarted remainder can be
-    re-leased to a replacement worker.
+    result ring of :data:`repro.engine.shm.DEFAULT_RING_BYTES`
+    (parent-owned: created here, unlinked in :meth:`destroy`, never by
+    the child). ``lease`` holds the (spec, payload) pairs in flight, so
+    a crash's unstarted remainder can be re-leased to a replacement
+    worker.
     """
 
-    def __init__(self, ctx, shm_bytes: int) -> None:
-        self.ring = (
-            shm_mod.ShmRing.create(shm_bytes) if shm_bytes > 0 else None
-        )
+    def __init__(self, ctx) -> None:
+        self.ring = shm_mod.ShmRing.create(shm_mod.DEFAULT_RING_BYTES)
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_lease_worker_main,
-            args=(child_conn, self.ring.name if self.ring else None),
+            args=(child_conn, self.ring.name),
             daemon=True,
         )
         self.proc.start()
@@ -696,8 +707,7 @@ class _LeaseWorker:
             self.conn.close()
         except OSError:
             pass
-        if self.ring is not None:
-            self.ring.unlink()
+        self.ring.unlink()
 
 
 def _auto_lease_size(n_jobs: int, n_workers: int) -> int:
@@ -721,7 +731,6 @@ def _run_batch_leases(
     launch: Callable[[JobSpec], None],
     settle: Callable[[JobSpec, Dict[str, Any]], None],
     should_stop: Callable[[], bool],
-    shm_bytes: int,
 ) -> List[JobSpec]:
     """Fan ``payloads`` out as leases over persistent warm workers.
 
@@ -756,7 +765,7 @@ def _run_batch_leases(
     skipped: List[JobSpec] = []
 
     def _spawn() -> None:
-        workers.append(_LeaseWorker(ctx, shm_bytes))
+        workers.append(_LeaseWorker(ctx))
 
     def _fail_worker(worker: _LeaseWorker, reason: Optional[str]) -> None:
         """Settle the in-flight job as a crash, re-lease the rest."""
@@ -820,7 +829,7 @@ def _run_batch_leases(
                     _fail_worker(worker, reason=None)
                     continue
                 spec, _ = worker.current()
-                if worker.ring is not None and record.get("shm_arrays"):
+                if record.get("shm_arrays"):
                     record["value"] = shm_mod.decode_arrays(
                         record["value"], worker.ring
                     )
@@ -861,42 +870,31 @@ def _run_batch_leases(
 
 
 def _run_summary_fields(
-    outcomes: Sequence[JobOutcome],
-    registry_: MetricsRegistry,
-    elapsed_s: float,
-    n_workers: int,
-    backend: Optional[str],
-    code_version: Optional[str],
+    result: SweepResult, counts: Dict[str, int], backend: Optional[str]
 ) -> Dict[str, Any]:
-    """The ``run_summary`` event payload for one finished sweep."""
-    counts = {"ok": 0, "cached": 0, "failed": 0, "skipped": 0}
-    for outcome in outcomes:
-        counts[outcome.status] = counts.get(outcome.status, 0) + 1
-    stats = registry_.as_dict()
-    counters = stats.get("counters", {})
+    """The ``run_summary`` event payload for one finished sweep;
+    ``counts`` is ``result.counts``."""
+    counters = result.stats.get("counters", {})
     runners = {
         name[len("job."):]: {
             key: timer[key]
             for key in ("count", "p50_s", "p95_s", "max_s")
             if key in timer
         }
-        for name, timer in stats.get("timers", {}).items()
+        for name, timer in result.stats.get("timers", {}).items()
         if name.startswith("job.")
     }
-    total = len(outcomes)
     return {
-        "jobs": total,
-        "ok": counts["ok"],
-        "cached": counts["cached"],
-        "failed": counts["failed"],
-        "skipped": counts["skipped"],
+        **counts,
         "retries": int(counters.get("retries", 0)),
         "timeouts": int(counters.get("timeouts", 0)),
-        "cache_hit_rate": (counts["cached"] / total) if total else 0.0,
-        "elapsed_s": round(elapsed_s, 6),
-        "workers": int(n_workers),
+        "cache_hit_rate": (
+            counts["cached"] / counts["jobs"] if counts["jobs"] else 0.0
+        ),
+        "elapsed_s": round(result.elapsed_s, 6),
+        "workers": result.workers,
         "backend": backend,
-        "code_version": code_version,
+        "code_version": result.code_version,
         "runners": runners,
     }
 
@@ -933,7 +931,6 @@ def execute(
     trace: Optional[bool] = None,
     profile_dir: Optional[Any] = None,
     lease_size: Optional[int] = None,
-    shm_bytes: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> SweepResult:
     """Run every job to an outcome; never raises for job failures.
@@ -949,19 +946,24 @@ def execute(
     recorded (``cache_put_error``), never fatal.
 
     With an ``events`` sink attached, the sweep appends its run ledger
-    there: ``sweep_start``/``sweep_end`` (via the progress tracker),
+    there: ``sweep_start``/``run_summary``/``sweep_end``,
     ``job_start``/``job_retry``/``job_timeout``/``job_end``/
     ``job_skipped`` (from this module), and ``cache_hit``/``cache_put``
-    /``cache_quarantine``/``cache_put_error`` (from the cache). In
-    parallel mode ``job_start`` marks worker launch, and worker-side
-    attempt telemetry is replayed when each record settles. ``metrics``
-    (created per call when not supplied) aggregates per-runner job
-    timers and retry/timeout/cache counters into ``result.stats``.
+    /``cache_quarantine``/``cache_put_error``/``cache_evict`` (from the
+    cache calls this sweep makes, which take ``events``). ``execute``
+    assigns nothing on the ``cache``, ``events`` or ``progress`` it is
+    handed, so sweeps that share them stay apart; ``progress`` only
+    narrates to its stream. In parallel mode ``job_start`` marks worker
+    launch, and worker-side attempt telemetry is replayed when each
+    record settles. ``metrics`` (created per call when not supplied)
+    aggregates per-runner job timers and retry/timeout/cache counters
+    into ``result.stats``.
 
     ``faults`` takes a :class:`repro.faults.FaultPlan`; its
-    worker-side faults ride along in the job payloads and its
-    parent-side faults are attached to the cache and event sink for
-    the duration of the call (restored after). ``max_failures`` stops
+    worker-side faults ride along in the job payloads and its cache
+    faults go to this sweep's ``cache.get``/``cache.put`` calls. A torn
+    ledger (``ledger_tear``) is the sink's own plan:
+    ``EventLog(path, faults=plan)``. ``max_failures`` stops
     launching new jobs once more than that many have failed; the
     leftovers settle as ``"skipped"`` and ``result.partial`` is True.
     A ``SweepSpec``'s own ``max_failures`` applies when the argument
@@ -982,12 +984,13 @@ def execute(
     ``workers > 1`` leases runs of ``lease_size`` consecutive jobs to
     persistent warm workers (:func:`_run_batch_leases`; process spawn
     cost is amortised over the lease). ``lease_size=1`` is per-job
-    dispatch; ``None`` picks ~4 leases per worker. ``shm_bytes`` sizes
-    the per-worker shared-memory ring that carries large result
-    ndarrays zero-copy (``0`` disables, ``None`` = 8 MiB default). Both
-    are pure transport knobs: outcomes are bit-identical across every
-    combination, and to ``workers=1``. A ``timeout_s`` sweep called off
-    the main thread runs in one lease worker (see :func:`_lease_workers`).
+    dispatch; ``None`` picks ~4 leases per worker. Each worker returns
+    large result ndarrays zero-copy through its own 8 MiB shared-memory
+    ring; an array the ring cannot hold rides the pipe instead. Leases
+    and rings are pure transport: outcomes are bit-identical at every
+    lease size, and to ``workers=1``. A ``timeout_s`` sweep called off
+    the main thread runs in one lease worker (see
+    :func:`_lease_workers`).
 
     ``backend`` stamps a compute backend (see
     :mod:`repro.kernels.backend`) on every job that doesn't already
@@ -1018,271 +1021,242 @@ def execute(
     registry_ = metrics if metrics is not None else MetricsRegistry()
     trace_on = (events is not None) if trace is None else bool(trace)
     tracer = Tracer(sink=events) if trace_on else None
-    if progress is None and events is not None:
-        progress = ProgressTracker()
-    if progress is not None and events is not None and progress.events is None:
-        progress.events = events
     if progress is not None:
-        progress.start(len(specs), workers=int(workers))
-
-    restore_cache_events = False
-    if cache is not None and events is not None and cache.events is None:
-        cache.events = events
-        restore_cache_events = True
-    # Parent-side fault sites live on the cache (corrupt/failed-put)
-    # and the event sink (torn ledger lines); attach the plan for the
-    # duration of this call, duck-typed so plain sinks stay plain.
-    restore_cache_faults = restore_events_faults = False
-    if faults is not None:
-        if cache is not None and getattr(cache, "faults", False) is None:
-            cache.faults = faults
-            restore_cache_faults = True
-        if events is not None and getattr(events, "faults", False) is None:
-            events.faults = faults
-            restore_events_faults = True
+        progress.start(len(specs))
+    if events is not None:
+        events.emit("sweep_start", jobs=len(specs), workers=int(workers))
     root_span = (
         tracer.start("sweep", {"jobs": len(specs), "workers": int(workers)})
         if tracer is not None
         else None
     )
-    try:
-        version = code_version or (default_code_version() if cache else None)
-        outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
-        keys: Dict[int, str] = {}
-        pending: List[JobSpec] = []
-        for spec in specs:
-            if cache is not None:
-                key = cache.key_for(spec, version)
-                keys[spec.index] = key
-                hit, value = cache.get(spec, key)
-                if hit:
-                    outcome = JobOutcome(
-                        spec=spec, status="cached", value=value
-                    )
-                    outcomes[spec.index] = outcome
-                    registry_.counter("jobs_cached").inc()
-                    if progress is not None:
-                        progress.update(outcome)
-                    continue
-            pending.append(spec)
+    version = code_version or (default_code_version() if cache else None)
+    outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
+    keys: Dict[int, str] = {}
+    pending: List[JobSpec] = []
+    for spec in specs:
+        if cache is not None:
+            key = cache.key_for(spec, version)
+            keys[spec.index] = key
+            hit, value = cache.get(spec, key, events=events, faults=faults)
+            if hit:
+                outcome = JobOutcome(spec=spec, status="cached", value=value)
+                outcomes[spec.index] = outcome
+                registry_.counter("jobs_cached").inc()
+                if progress is not None:
+                    progress.update(outcome)
+                continue
+        pending.append(spec)
 
-        def _emit_job_start(spec: JobSpec) -> None:
-            if events is not None:
-                events.emit(
-                    "job_start",
-                    index=spec.index,
-                    runner=spec.runner,
-                    label=spec.display,
-                    seed=spec.seed,
+    def _emit_job_start(spec: JobSpec) -> None:
+        if events is not None:
+            events.emit(
+                "job_start",
+                index=spec.index,
+                runner=spec.runner,
+                label=spec.display,
+                seed=spec.seed,
+            )
+
+    def _settle(spec: JobSpec, record: Dict[str, Any]) -> None:
+        outcome = _outcome_from_record(spec, record)
+        if cache is not None and outcome.status == "ok":
+            # encode_value is to_jsonable plus sidecar diversion:
+            # large arrays land as content-addressed .npy files and
+            # the record stores a descriptor. The arrays memo keeps
+            # the decode below off the disk it just wrote.
+            key = keys[spec.index]
+            normalised, arrays = cache.encode_value(
+                outcome.value, events=events
+            )
+            try:
+                cache.put(spec, key, normalised, events=events, faults=faults)
+            except OSError as exc:
+                # Disk full / permissions / injected put failure:
+                # losing the cache entry must not lose the result.
+                registry_.counter("cache_put_errors").inc()
+                warnings.warn(
+                    f"cache put failed for {spec.display}: {exc}; "
+                    "result kept in memory only",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-
-        def _settle(spec: JobSpec, record: Dict[str, Any]) -> None:
-            outcome = _outcome_from_record(spec, record)
-            if cache is not None and outcome.status == "ok":
-                # encode_value is to_jsonable plus sidecar diversion:
-                # large arrays land as content-addressed .npy files and
-                # the record stores a descriptor. The arrays memo keeps
-                # the decode below off the disk it just wrote.
-                normalised, arrays = cache.encode_value(outcome.value)
-                try:
-                    cache.put(spec, keys[spec.index], normalised)
-                except OSError as exc:
-                    # Disk full / permissions / injected put failure:
-                    # losing the cache entry must not lose the result.
-                    registry_.counter("cache_put_errors").inc()
-                    warnings.warn(
-                        f"cache put failed for {spec.display}: {exc}; "
-                        "result kept in memory only",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    if events is not None:
-                        events.emit(
-                            "cache_put_error",
-                            index=spec.index,
-                            runner=spec.runner,
-                            label=spec.display,
-                            error=str(exc),
-                        )
-                else:
-                    registry_.counter("cache_puts").inc()
-                outcome.value = cache.decode_value(normalised, arrays)
-            for sub in record.get("events", ()):
-                kind = sub["event"]
-                counter_name = {
-                    "job_retry": "retries",
-                    "job_timeout": "timeouts",
-                }.get(kind, kind)
-                registry_.counter(counter_name).inc()
                 if events is not None:
-                    fields = {k: v for k, v in sub.items() if k != "event"}
                     events.emit(
-                        kind,
+                        "cache_put_error",
                         index=spec.index,
                         runner=spec.runner,
                         label=spec.display,
-                        **fields,
+                        error=str(exc),
                     )
-            # Replay the job's worker-side spans into the ledger. They
-            # arrive sorted by worker-local start offset (t_rel, seconds
-            # since the job began on the worker's monotonic clock) and
-            # are emitted as adjacent start/end pairs — a reader anchors
-            # them at the job's parent-side job_start timestamp, so the
-            # flame timeline reflects real in-job timing, not when the
-            # record happened to cross the pipe.
-            job_spans = record.get("spans", ())
-            if job_spans:
-                registry_.counter("spans").inc(len(job_spans))
-            for span_rec in job_spans:
-                registry_.timer(f"span.{span_rec['name']}").observe(
-                    span_rec["duration_s"]
-                )
-                if events is not None:
-                    base = {
-                        "index": spec.index,
-                        "runner": spec.runner,
-                        "label": spec.display,
-                    }
-                    start_fields = dict(span_rec)
-                    start_fields.pop("duration_s", None)
-                    events.emit("span_start", **base, **start_fields)
-                    events.emit("span_end", **base, **span_rec)
-            if record.get("spans_dropped"):
-                registry_.counter("spans_dropped").inc(
-                    record["spans_dropped"]
-                )
-            registry_.counter(f"jobs_{outcome.status}").inc()
-            if outcome.failure is not None and (
-                outcome.failure.error_type == "WorkerCrashError"
-            ):
-                registry_.counter("worker_crashes").inc()
-            registry_.timer(f"job.{spec.runner}").observe(outcome.duration_s)
+            else:
+                registry_.counter("cache_puts").inc()
+            outcome.value = cache.decode_value(normalised, arrays)
+        for sub in record.get("events", ()):
+            kind = sub["event"]
+            counter_name = {
+                "job_retry": "retries",
+                "job_timeout": "timeouts",
+            }.get(kind, kind)
+            registry_.counter(counter_name).inc()
             if events is not None:
-                end_fields: Dict[str, Any] = {
-                    "index": spec.index,
-                    "runner": spec.runner,
-                    "label": spec.display,
-                    "status": outcome.status,
-                    "attempts": outcome.attempts,
-                    "duration_s": round(outcome.duration_s, 6),
-                }
-                if outcome.failure is not None:
-                    end_fields["error_type"] = outcome.failure.error_type
-                    end_fields["error"] = outcome.failure.error
-                if record.get("profile_path"):
-                    end_fields["profile_path"] = record["profile_path"]
-                events.emit("job_end", **end_fields)
-            outcomes[spec.index] = outcome
-            if progress is not None:
-                progress.update(outcome)
-
-        def _should_stop() -> bool:
-            return (
-                max_failures is not None
-                and registry_.counter("jobs_failed").value > max_failures
-            )
-
-        faults_payload = faults.worker_payload() if faults is not None else None
-        trace_ctx = (
-            tracer.context(parent_id=root_span.span_id)
-            if tracer is not None and root_span is not None
-            else None
-        )
-        profile_dir_s = str(profile_dir) if profile_dir is not None else None
-        payloads = [
-            _payload_from(
-                spec,
-                timeout_s,
-                retries,
-                backoff_s,
-                faults_payload,
-                trace_ctx=trace_ctx,
-                profile_dir=profile_dir_s,
-            )
-            for spec in pending
-        ]
-        n_lease = _lease_workers(workers, len(pending), timeout_s)
-        skipped: List[JobSpec] = []
-        if not n_lease:
-            for spec, payload in zip(pending, payloads):
-                if _should_stop():
-                    skipped.append(spec)
-                    continue
-                _emit_job_start(spec)
-                _settle(spec, _execute_payload(payload))
-        else:
-            for payload in payloads:
-                payload["in_worker"] = True
-            skipped = _run_batch_leases(
-                pending,
-                payloads,
-                n_lease,
-                lease_size=(
-                    int(lease_size)
-                    if lease_size is not None
-                    else _auto_lease_size(len(pending), n_lease)
-                ),
-                watchdog_s=_watchdog_budget_s(timeout_s, retries, backoff_s),
-                launch=_emit_job_start,
-                settle=_settle,
-                should_stop=_should_stop,
-                shm_bytes=(
-                    shm_mod.DEFAULT_RING_BYTES
-                    if shm_bytes is None
-                    else max(0, int(shm_bytes))
-                ),
-            )
-        n_workers = max(1, n_lease)
-
-        for spec in skipped:
-            outcome = JobOutcome(spec=spec, status="skipped")
-            registry_.counter("jobs_skipped").inc()
-            if events is not None:
+                fields = {k: v for k, v in sub.items() if k != "event"}
                 events.emit(
-                    "job_skipped",
+                    kind,
                     index=spec.index,
                     runner=spec.runner,
                     label=spec.display,
-                    reason=f"sweep exceeded max_failures={max_failures}",
+                    **fields,
                 )
-            outcomes[spec.index] = outcome
-            if progress is not None:
-                progress.update(outcome)
-
-        elapsed = time.monotonic() - started
-        registry_.timer("sweep").observe(elapsed)
-        if tracer is not None and root_span is not None:
-            tracer.finish(root_span)
-        final = [outcome for outcome in outcomes if outcome is not None]
-        assert len(final) == len(specs)
-        if events is not None:
-            # The cross-run telemetry hook: one self-contained summary
-            # event per execute() call, so an archive record (or a live
-            # `repro watch`) can be built from the ledger alone without
-            # re-deriving engine configuration. Emitted before
-            # sweep_end so that event stays the ledger's terminal
-            # progress marker.
-            events.emit(
-                "run_summary", **_run_summary_fields(
-                    final, registry_, elapsed, n_workers, backend, version
-                )
+        # Replay the job's worker-side spans into the ledger. They
+        # arrive sorted by worker-local start offset (t_rel, seconds
+        # since the job began on the worker's monotonic clock) and
+        # are emitted as adjacent start/end pairs — a reader anchors
+        # them at the job's parent-side job_start timestamp, so the
+        # flame timeline reflects real in-job timing, not when the
+        # record happened to cross the pipe.
+        job_spans = record.get("spans", ())
+        if job_spans:
+            registry_.counter("spans").inc(len(job_spans))
+        for span_rec in job_spans:
+            registry_.timer(f"span.{span_rec['name']}").observe(
+                span_rec["duration_s"]
             )
+            if events is not None:
+                base = {
+                    "index": spec.index,
+                    "runner": spec.runner,
+                    "label": spec.display,
+                }
+                start_fields = dict(span_rec)
+                start_fields.pop("duration_s", None)
+                events.emit("span_start", **base, **start_fields)
+                events.emit("span_end", **base, **span_rec)
+        if record.get("spans_dropped"):
+            registry_.counter("spans_dropped").inc(
+                record["spans_dropped"]
+            )
+        registry_.counter(f"jobs_{outcome.status}").inc()
+        if outcome.failure is not None and (
+            outcome.failure.error_type == "WorkerCrashError"
+        ):
+            registry_.counter("worker_crashes").inc()
+        registry_.timer(f"job.{spec.runner}").observe(outcome.duration_s)
+        if events is not None:
+            end_fields: Dict[str, Any] = {
+                "index": spec.index,
+                "runner": spec.runner,
+                "label": spec.display,
+                "status": outcome.status,
+                "attempts": outcome.attempts,
+                "duration_s": round(outcome.duration_s, 6),
+            }
+            if outcome.failure is not None:
+                end_fields["error_type"] = outcome.failure.error_type
+                end_fields["error"] = outcome.failure.error
+            if record.get("profile_path"):
+                end_fields["profile_path"] = record["profile_path"]
+            events.emit("job_end", **end_fields)
+        outcomes[spec.index] = outcome
         if progress is not None:
-            progress.finish()
-        return SweepResult(
-            outcomes=final,
-            elapsed_s=elapsed,
-            workers=n_workers,
-            stats=registry_.as_dict(),
-            code_version=version,
+            progress.update(outcome)
+
+    def _should_stop() -> bool:
+        return (
+            max_failures is not None
+            and registry_.counter("jobs_failed").value > max_failures
         )
-    finally:
-        if restore_cache_events:
-            cache.events = None
-        if restore_cache_faults:
-            cache.faults = None
-        if restore_events_faults:
-            events.faults = None
+
+    faults_payload = faults.worker_payload() if faults is not None else None
+    trace_ctx = (
+        tracer.context(parent_id=root_span.span_id)
+        if tracer is not None and root_span is not None
+        else None
+    )
+    profile_dir_s = str(profile_dir) if profile_dir is not None else None
+    payloads = [
+        _payload_from(
+            spec,
+            timeout_s,
+            retries,
+            backoff_s,
+            faults_payload,
+            trace_ctx=trace_ctx,
+            profile_dir=profile_dir_s,
+        )
+        for spec in pending
+    ]
+    n_lease = _lease_workers(workers, len(pending), timeout_s)
+    skipped: List[JobSpec] = []
+    if not n_lease:
+        for spec, payload in zip(pending, payloads):
+            if _should_stop():
+                skipped.append(spec)
+                continue
+            _emit_job_start(spec)
+            _settle(spec, _execute_payload(payload))
+    else:
+        for payload in payloads:
+            payload["in_worker"] = True
+        skipped = _run_batch_leases(
+            pending,
+            payloads,
+            n_lease,
+            lease_size=(
+                int(lease_size)
+                if lease_size is not None
+                else _auto_lease_size(len(pending), n_lease)
+            ),
+            watchdog_s=_watchdog_budget_s(timeout_s, retries, backoff_s),
+            launch=_emit_job_start,
+            settle=_settle,
+            should_stop=_should_stop,
+        )
+    n_workers = max(1, n_lease)
+
+    for spec in skipped:
+        outcome = JobOutcome(spec=spec, status="skipped")
+        registry_.counter("jobs_skipped").inc()
+        if events is not None:
+            events.emit(
+                "job_skipped",
+                index=spec.index,
+                runner=spec.runner,
+                label=spec.display,
+                reason=f"sweep exceeded max_failures={max_failures}",
+            )
+        outcomes[spec.index] = outcome
+        if progress is not None:
+            progress.update(outcome)
+
+    elapsed = time.monotonic() - started
+    registry_.timer("sweep").observe(elapsed)
+    if tracer is not None and root_span is not None:
+        tracer.finish(root_span)
+    final = [outcome for outcome in outcomes if outcome is not None]
+    assert len(final) == len(specs)
+    result = SweepResult(
+        outcomes=final,
+        elapsed_s=elapsed,
+        workers=n_workers,
+        stats=registry_.as_dict(),
+        code_version=version,
+    )
+    if events is not None:
+        counts = result.counts
+        # The cross-run telemetry hook: one self-contained summary
+        # event per execute() call, so an archive record (or a live
+        # `repro watch`) can be built from the ledger alone without
+        # re-deriving engine configuration. Emitted before
+        # sweep_end so that event stays the ledger's terminal
+        # progress marker.
+        events.emit(
+            "run_summary", **_run_summary_fields(result, counts, backend)
+        )
+        events.emit("sweep_end", **counts, elapsed_s=round(elapsed, 6))
+    if progress is not None:
+        progress.finish()
+    return result
 
 
 def execute_one(

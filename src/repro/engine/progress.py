@@ -4,19 +4,17 @@ The pool calls :meth:`ProgressTracker.start` once and
 :meth:`ProgressTracker.update` as each outcome lands (completion
 order, not submission order). With a ``stream`` attached the tracker
 prints one line per job plus a closing summary — that is what
-``python -m repro sweep`` surfaces on stderr. With an
-:class:`repro.obs.events.EventSink` attached the tracker also emits
-the run ledger's ``sweep_start``/``sweep_end`` events (the job-level
-events come from the pool and the cache).
+``python -m repro sweep`` surfaces on stderr. The tracker writes no
+events: the run ledger's ``sweep_start``/``sweep_end`` brackets come
+from :func:`repro.engine.pool.execute`, so one tracker can narrate any
+number of sweeps without touching their ledgers.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import IO, Any, Optional
-
-from repro.obs.events import EventSink
+from typing import IO, Optional
 
 
 @dataclass
@@ -44,13 +42,8 @@ class ProgressSnapshot:
 class ProgressTracker:
     """Counts outcomes and (optionally) narrates them to a stream."""
 
-    def __init__(
-        self,
-        stream: Optional[IO[str]] = None,
-        events: Optional[EventSink] = None,
-    ) -> None:
+    def __init__(self, stream: Optional[IO[str]] = None) -> None:
         self.stream = stream
-        self.events = events
         self.total = 0
         self.ok = 0
         self.failed = 0
@@ -60,12 +53,12 @@ class ProgressTracker:
         self._finished_at: Optional[float] = None
 
     # -- pool interface --------------------------------------------------
-    def start(self, total: int, **info: Any) -> None:
+    def start(self, total: int) -> None:
+        """Begin a sweep of ``total`` jobs; counts restart from zero."""
         self.total = total
+        self.ok = self.failed = self.cached = self.skipped = 0
         self._started_at = time.monotonic()
         self._finished_at = None
-        if self.events is not None:
-            self.events.emit("sweep_start", jobs=total, **info)
 
     def update(self, outcome) -> None:
         """Record one :class:`repro.engine.pool.JobOutcome`."""
@@ -95,17 +88,6 @@ class ProgressTracker:
 
     def finish(self) -> None:
         self._finished_at = time.monotonic()
-        if self.events is not None:
-            snap = self.snapshot()
-            self.events.emit(
-                "sweep_end",
-                jobs=snap.total,
-                ok=snap.ok,
-                cached=snap.cached,
-                failed=snap.failed,
-                skipped=snap.skipped,
-                elapsed_s=round(snap.elapsed_s, 6),
-            )
         if self.stream is not None:
             print(self.summary(), file=self.stream, flush=True)
 

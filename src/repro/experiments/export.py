@@ -78,7 +78,8 @@ def to_jsonable(value: Any, array_hook: Any = None) -> Any:
             encoded = array_hook(value)
             if encoded is not None:
                 return encoded
-        return [to_jsonable(v, array_hook) for v in value.tolist()]
+        # tolist() is a scalar for a 0-d array, nested lists otherwise.
+        return to_jsonable(value.tolist(), array_hook)
     if isinstance(value, enum.Enum):
         return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

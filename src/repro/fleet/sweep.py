@@ -175,20 +175,18 @@ class FleetSnapshotTracker(ProgressTracker):
     As each shard partial settles (completion order — workers finish
     when they finish), its quantile sketches are merged into a running
     partial-fleet view and a ``reducer_snapshot`` event is emitted
-    into the run ledger. Sketch merges are commutative bucket-count
-    additions, so the out-of-order incremental merge is exact: every
-    snapshot shows the true quantiles of exactly the UEs covered so
-    far, and ``repro watch`` renders them tightening toward the final
-    summary mid-sweep.
+    into ``events``, the tracker's own sink (pass the sweep's ledger;
+    ``execute`` writes the sweep's brackets there itself, and the
+    tracker writes nothing else). Sketch merges are commutative
+    bucket-count additions, so the out-of-order incremental merge is
+    exact: every snapshot shows the true quantiles of exactly the UEs
+    covered so far, and ``repro watch`` renders them tightening toward
+    the final summary mid-sweep.
 
     Only the sketches are merged here — :class:`StreamMoments` rides
     on :class:`~repro.obs.reducers.PairwiseSum`, whose bit-identical
     merge is deliberately order-sensitive, and the final summary still
     goes through :func:`merge_partials` on the index-ordered outcomes.
-
-    ``every`` thins emission (snapshot every N settled shards; the
-    final shard always emits) so thousand-shard sweeps don't flood the
-    ledger.
     """
 
     def __init__(
@@ -196,11 +194,10 @@ class FleetSnapshotTracker(ProgressTracker):
         shards_total: int,
         stream: Optional[IO[str]] = None,
         events: Optional[Any] = None,
-        every: int = 1,
     ) -> None:
-        super().__init__(stream=stream, events=events)
+        super().__init__(stream=stream)
         self.shards_total = int(shards_total)
-        self.every = max(1, int(every))
+        self.events = events
         self.shards_done = 0
         self.ues_covered = 0
         self._sketches: Dict[str, QuantileSketch] = {}
@@ -225,12 +222,7 @@ class FleetSnapshotTracker(ProgressTracker):
                 self._sketches[name].merge(sketch)
             else:
                 self._sketches[name] = sketch
-        if self.events is None:
-            return
-        if (
-            self.shards_done % self.every == 0
-            or self.shards_done == self.shards_total
-        ):
+        if self.events is not None:
             self.events.emit("reducer_snapshot", **self.snapshot_fields())
 
     def snapshot_fields(self) -> Dict[str, Any]:

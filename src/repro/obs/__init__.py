@@ -38,9 +38,9 @@ Four pieces, threaded through :mod:`repro.engine` and the CLI:
 
 ``events``, ``metrics``, and ``trace`` are stdlib-only and import
 nothing from the engine, so the engine (and the kernels) can import
-them without cycles; ``manifest``, ``stats``, ``calib``, ``report``,
-and ``openmetrics`` load lazily via module ``__getattr__``. See
-docs/observability.md.
+them without cycles; their names are re-exported here. Everything
+else is imported from its own module (``repro.obs.manifest``,
+``repro.obs.stats``, ...). See docs/observability.md.
 """
 
 from repro.obs.events import (
@@ -53,46 +53,6 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import Counter, MetricsRegistry, Timer, percentile
 from repro.obs.trace import Span, Tracer, activate, current_tracer, span
-
-_LAZY = {
-    "build_manifest": "repro.obs.manifest",
-    "write_manifest": "repro.obs.manifest",
-    "load_manifest": "repro.obs.manifest",
-    "manifest_path_for": "repro.obs.manifest",
-    "specs_from_manifest": "repro.obs.manifest",
-    "MANIFEST_VERSION": "repro.obs.manifest",
-    "aggregate_events": "repro.obs.stats",
-    "aggregate_events_file": "repro.obs.stats",
-    "render_stats": "repro.obs.stats",
-    "GaugeSpec": "repro.obs.calib",
-    "GaugeResult": "repro.obs.calib",
-    "PAPER_GAUGES": "repro.obs.calib",
-    "evaluate_gauges": "repro.obs.calib",
-    "values_from_result": "repro.obs.calib",
-    "ks_distance_to_quantiles": "repro.obs.calib",
-    "PairwiseSum": "repro.obs.reducers",
-    "StreamMoments": "repro.obs.reducers",
-    "FixedHistogram": "repro.obs.reducers",
-    "QuantileSketch": "repro.obs.reducers",
-    "render_openmetrics": "repro.obs.openmetrics",
-    "parse_openmetrics": "repro.obs.openmetrics",
-    "build_report": "repro.obs.report",
-    "render_html": "repro.obs.report",
-    "write_report": "repro.obs.report",
-    "RunArchive": "repro.obs.history",
-    "ARCHIVE_SCHEMA": "repro.obs.history",
-    "record_from_result": "repro.obs.history",
-    "record_from_ledger": "repro.obs.history",
-    "record_from_bench": "repro.obs.history",
-    "build_history": "repro.obs.history",
-    "render_history_text": "repro.obs.history",
-    "render_history_html": "repro.obs.history",
-    "compare_records": "repro.obs.compare",
-    "render_comparison": "repro.obs.compare",
-    "CompareThresholds": "repro.obs.compare",
-    "WatchView": "repro.obs.watch",
-    "follow_events": "repro.obs.watch",
-}
 
 __all__ = [
     "EVENT_TYPES",
@@ -110,12 +70,4 @@ __all__ = [
     "percentile",
     "read_events",
     "span",
-] + sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        return getattr(importlib.import_module(_LAZY[name]), name)
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
+]

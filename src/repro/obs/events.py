@@ -7,7 +7,8 @@ per executed job (with ``job_retry``/``job_timeout`` in between when
 attempts fail, and ``job_skipped`` for jobs shed past
 ``max_failures``), and ``cache_hit``/``cache_put``/
 ``cache_quarantine``/``cache_put_error``/``cache_evict`` from the
-result cache. The ``repro.serve`` job server appends its own
+result cache, which writes them to the sink of the sweep whose call
+caused them. The ``repro.serve`` job server appends its own
 ``serve_*`` lifecycle events to the same JSONL wire format (see
 ``repro.serve.server.SERVE_EVENT_TYPES``). With tracing on
 (:mod:`repro.obs.trace`), ``span_start``/``span_end`` pairs record the
@@ -105,8 +106,8 @@ class EventLog(EventSink):
     rust, so it is off by default — sweeps are cheap to re-run from
     the cache, ledgers are telemetry, not transactions.
 
-    ``faults`` accepts a :class:`repro.faults.FaultPlan` (wired by
-    ``execute``); a ``ledger_tear`` fault writes half of one line and
+    ``faults`` takes a :class:`repro.faults.FaultPlan` for the log's
+    whole life; a ``ledger_tear`` fault writes half of one line and
     then drops every later event, simulating a writer killed
     mid-append.
 
@@ -121,14 +122,15 @@ class EventLog(EventSink):
         path: PathLike,
         clock=time.monotonic,
         fsync: bool = False,
+        faults: Optional[Any] = None,
     ) -> None:
         self.path = Path(path)
         self.fsync = bool(fsync)
+        self.faults = faults
         self._clock = clock
         self._seq = 0
         self._lock = threading.Lock()
         self._handle = None
-        self.faults: Optional[Any] = None
         self._dead = False
 
     def emit(self, event: str, **fields: Any) -> None:

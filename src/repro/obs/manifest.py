@@ -97,13 +97,7 @@ def build_manifest(
         "workers": result.workers,
         "elapsed_s": round(float(result.elapsed_s), 6),
         "partial": bool(getattr(result, "partial", False)),
-        "counts": {
-            "jobs": len(result.outcomes),
-            "ok": result.ok_count,
-            "cached": result.cached_count,
-            "failed": result.failed_count,
-            "skipped": int(getattr(result, "skipped_count", 0)),
-        },
+        "counts": result.counts,
         "cache_dir": str(cache_dir) if cache_dir is not None else None,
         "events_path": str(events_path) if events_path is not None else None,
         "stats": getattr(result, "stats", {}) or {},

@@ -33,15 +33,15 @@ Error mapping: :class:`BadRequest` → 400, unknown id → 404,
 
 ``run_in_thread`` hosts the whole stack on a background thread with
 its own event loop — what the tests, the load generator, and the
-benchmark use; ``serve_forever`` is the blocking entry point the CLI
-uses, with SIGTERM/SIGINT wired to graceful drain.
+benchmark use. ``repro serve`` drives :meth:`ServeHTTP.start` and
+:meth:`ServeHTTP.serve_until_shutdown` itself, with SIGTERM/SIGINT
+wired to graceful drain.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import signal
 import threading
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -175,18 +175,6 @@ class ServeHTTP:
     def request_shutdown(self) -> None:
         if self._shutdown is not None:
             self._shutdown.set()
-
-    async def serve_forever(self, install_signals: bool = True) -> None:
-        """The CLI entry point: bind, wire SIGTERM/SIGINT, serve, drain."""
-        await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self.request_shutdown)
-                except (NotImplementedError, RuntimeError):
-                    pass
-        await self.serve_until_shutdown()
 
     # -- request handling ------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:

@@ -20,9 +20,9 @@ and tests drive it directly. One instance owns:
 Execution calls ``execute()`` from worker threads. Untimed sweeps run
 serially in the thread; a sweep with a timeout runs in one lease
 worker, whose main thread arms the engine's ``SIGALRM`` budget under
-the parent watchdog. Cache events route through a thread-local router
-so each job's view gets its own cache traffic even though the cache
-is shared.
+the parent watchdog. The cache is shared, but every cache call a job
+makes takes that job's sink (``execute(events=sink)``), so each job's
+view gets its own cache traffic, evictions its puts caused included.
 
 Drain is a promise kept: :meth:`drain` stops admissions, every
 already-admitted job settles (the crash-recovery machinery inside
@@ -142,34 +142,6 @@ class JobEventsView:
         return "".join(lines).encode()
 
 
-class ThreadEventRouter(EventSink):
-    """Route emissions to the sink the *current thread* registered.
-
-    The shared cache holds exactly one ``events`` attribute, but five
-    worker threads run five different jobs against it concurrently.
-    Each worker registers its job's sink for the duration of the
-    sweep; cache events then carry that job's stamp. Threads with
-    nothing registered fall back to ``fallback`` (the server ledger),
-    so out-of-band traffic — e.g. an eviction sweep triggered from a
-    maintenance call — is never dropped.
-    """
-
-    def __init__(self, fallback: Optional[EventSink] = None) -> None:
-        self._local = threading.local()
-        self.fallback = fallback
-
-    def register(self, sink: Optional[EventSink]) -> None:
-        self._local.sink = sink
-
-    def unregister(self) -> None:
-        self._local.sink = None
-
-    def emit(self, event: str, **fields: Any) -> None:
-        sink = getattr(self._local, "sink", None) or self.fallback
-        if sink is not None:
-            sink.emit(event, **fields)
-
-
 class ServeServer:
     """Transport-agnostic job server over :func:`repro.engine.execute`."""
 
@@ -180,8 +152,6 @@ class ServeServer:
         self.cache = BoundedResultCache(
             config.cache_dir, max_bytes=config.cache_max_bytes
         )
-        self._cache_router = ThreadEventRouter(fallback=self.ledger)
-        self.cache.events = self._cache_router
         self.artifacts = ArtifactStore(config.artifacts_dir)
         self.jobs = JobStore(journal_path=config.journal_path)
         self.scheduler = FairScheduler(
@@ -386,7 +356,6 @@ class ServeServer:
         )
         record.ledger_start = self.ledger.offset
         sink = JobStampSink(self.ledger, record.job_id)
-        self._cache_router.register(sink)
         state = "failed"
         try:
             result = execute(
@@ -419,7 +388,6 @@ class ServeServer:
             record.error = f"{exc.__class__.__name__}: {exc}"
         finally:
             record.finished_t = time.monotonic()
-            self._cache_router.unregister()
             # The job's view ends here. Publish the offset before the
             # state that tells a follower the job is over.
             record.ledger_end = self.ledger.offset
@@ -474,14 +442,8 @@ class ServeServer:
                 },
             }
         )
-        record.counts = {
-            "jobs": len(result.outcomes),
-            "ok": result.ok_count,
-            "cached": result.cached_count,
-            "failed": result.failed_count,
-            "skipped": result.skipped_count,
-        }
-        if not (result.failed_count or result.skipped_count):
+        record.counts = result.counts
+        if not (record.counts["failed"] or record.counts["skipped"]):
             return "done"
         failures = result.failures()
         if failures:

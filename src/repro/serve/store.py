@@ -40,6 +40,7 @@ from repro.engine.cache import (
     array_digest,
 )
 from repro.engine.spec import JobSpec
+from repro.obs.events import EventSink
 
 PathLike = Union[str, Path]
 
@@ -57,15 +58,14 @@ class BoundedResultCache(ResultCache):
     ``get`` moves a hit to the recent end and drops what it quarantines.
     The exceptions are a value bigger than the whole budget, committed
     and then evicted, and puts in flight that together outgrow it.
+
+    Each ``cache_evict`` event goes to the sink of the call whose write
+    caused it, passed down through ``_store_array``, ``_write_entry``,
+    :meth:`enforce_budget` and :meth:`gc`.
     """
 
-    def __init__(
-        self,
-        root: PathLike,
-        max_bytes: int,
-        events: Optional[Any] = None,
-    ) -> None:
-        super().__init__(root, events=events)
+    def __init__(self, root: PathLike, max_bytes: int) -> None:
+        super().__init__(root)
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         self._account = self.scan()
@@ -79,9 +79,16 @@ class BoundedResultCache(ResultCache):
         with self._lock:
             return self._account.total
 
-    def _land(self, path: Path, data: bytes, commit: Callable) -> None:
-        """Reserve ``data``'s bytes and evict to fit; write it, then under
-        the lock rename it into place and ``commit`` its size."""
+    def _land(
+        self,
+        path: Path,
+        data: bytes,
+        commit: Callable,
+        events: Optional[EventSink],
+    ) -> None:
+        """Reserve ``data``'s bytes and evict to fit, telling ``events``;
+        write it, then under the lock rename it into place and
+        ``commit`` its size."""
         size = len(data)
         with self._lock:
             self._reserved += size
@@ -95,14 +102,16 @@ class BoundedResultCache(ResultCache):
 
         try:
             if over:
-                self.enforce_budget()
+                self.enforce_budget(events=events)
             _write_atomic(path, data, replace)
         except BaseException:
             with self._lock:
                 self._reserved -= size
             raise
 
-    def _store_array(self, arr: "np.ndarray") -> str:
+    def _store_array(
+        self, arr: "np.ndarray", events: Optional[EventSink] = None
+    ) -> str:
         arr = np.ascontiguousarray(arr)
         digest = array_digest(arr)
         with self._lock:
@@ -115,6 +124,7 @@ class BoundedResultCache(ResultCache):
                 self.arrays_dir / f"{digest}.npy",
                 _npy_bytes(arr),
                 lambda size: self._account.add_sidecar(digest, size),
+                events,
             )
         except BaseException:
             self._release_sidecars([digest])
@@ -126,18 +136,32 @@ class BoundedResultCache(ResultCache):
             orphans = self._account.release(digests)
             self._unlink_sidecars(self._account, orphans)
 
-    def _write_entry(self, path: Path, data: bytes, value: Any) -> None:
+    def _write_entry(
+        self,
+        path: Path,
+        data: bytes,
+        value: Any,
+        events: Optional[EventSink] = None,
+    ) -> None:
         digests = [desc["digest"] for desc in _descriptors(value)]
 
         def commit(size: int) -> None:
             orphans = self._account.add_entry(path.name, size, digests)
             self._unlink_sidecars(self._account, orphans)
 
-        self._land(path, data, commit)
+        self._land(path, data, commit, events)
 
-    def put(self, spec: JobSpec, key: str, value: Any) -> Path:
+    def put(
+        self,
+        spec: JobSpec,
+        key: str,
+        value: Any,
+        *,
+        events: Optional[EventSink] = None,
+        faults: Optional[Any] = None,
+    ) -> Path:
         try:
-            path = super().put(spec, key, value)
+            path = super().put(spec, key, value, events=events, faults=faults)
         finally:
             # The entry now holds the sidecars encode_value pinned for
             # it, or the put failed and nothing does.
@@ -145,11 +169,18 @@ class BoundedResultCache(ResultCache):
         if self.approx_bytes > self.max_bytes:
             # Only a value bigger than the budget, or puts in flight that
             # together outgrew it, get here: evict now.
-            self.enforce_budget()
+            self.enforce_budget(events=events)
         return path
 
-    def get(self, spec: JobSpec, key: str) -> Tuple[bool, Any]:
-        hit, value = super().get(spec, key)
+    def get(
+        self,
+        spec: JobSpec,
+        key: str,
+        *,
+        events: Optional[EventSink] = None,
+        faults: Optional[Any] = None,
+    ) -> Tuple[bool, Any]:
+        hit, value = super().get(spec, key, events=events, faults=faults)
         name = self.path_for(spec, key).name
         with self._lock:
             if hit and name in self._account.entries:
@@ -162,24 +193,29 @@ class BoundedResultCache(ResultCache):
         spec: JobSpec,
         reason: str,
         sidecars: Iterable[str] = (),
+        events: Optional[EventSink] = None,
     ) -> None:
         with self._lock:
-            super()._quarantine(path, spec, reason, sidecars)
+            super()._quarantine(path, spec, reason, sidecars, events)
             for digest in sidecars:
                 self._account.drop_sidecar(digest)
             orphans = self._account.drop_entry(path.name)
             self._unlink_sidecars(self._account, orphans)
 
-    def gc(self, max_bytes: int) -> Dict[str, Any]:
+    def gc(
+        self, max_bytes: int, *, events: Optional[EventSink] = None
+    ) -> Dict[str, Any]:
         """Evict from the live account; no directory scan."""
         with self._lock:
-            return self._evict(self._account, max(0, int(max_bytes)))
+            return self._evict(self._account, max(0, int(max_bytes)), events)
 
-    def enforce_budget(self) -> Dict[str, Any]:
+    def enforce_budget(
+        self, *, events: Optional[EventSink] = None
+    ) -> Dict[str, Any]:
         """Evict LRU entries until committed + reserved bytes fit."""
         with self._lock:
             reserved = self._reserved
-        summary = self.gc(max(0, self.max_bytes - reserved))
+        summary = self.gc(max(0, self.max_bytes - reserved), events=events)
         with self._lock:
             self.evictions += summary["evicted"]
             self.evicted_bytes += summary["freed_bytes"]

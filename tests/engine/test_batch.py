@@ -1,14 +1,11 @@
 """Tests for batch-lease dispatch: lease size, isolation, crash requeue."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.engine import JobSpec, execute
 from repro.engine.pool import _auto_lease_size
-from repro.engine.shm import active_segments
-from repro.experiments.export import to_jsonable
+from repro.engine.shm import DEFAULT_RING_BYTES, active_segments
 
 N_JOBS = 12
 
@@ -67,18 +64,23 @@ class TestBatchExecution:
             assert a["checksum"] == b["checksum"]
         assert active_segments() == ()
 
-    def test_shm_disabled_still_correct(self):
+    def test_results_larger_than_the_ring_ride_the_pipe(self):
+        # Each array is 8.8 MB, more than a worker's whole ring, so the
+        # worker keeps it inline and it comes back pickled.
+        n = 1_100_000
+        assert n * 8 > DEFAULT_RING_BYTES
         jobs = [
-            JobSpec(runner="test.array", kwargs={"n": 20_000}, index=i, seed=i)
-            for i in range(3)
+            JobSpec(runner="test.array", kwargs={"n": n}, index=i, seed=i)
+            for i in range(2)
         ]
         serial = execute(jobs, workers=1)
-        batched = execute(jobs, workers=2, shm_bytes=0)
-        canon = [
-            json.dumps(to_jsonable(r.values()), sort_keys=True)
-            for r in (serial, batched)
-        ]
-        assert canon[0] == canon[1]
+        batched = execute(jobs, workers=2)
+        assert batched.ok_count == 2
+        for a, b in zip(serial.values(), batched.values()):
+            assert a["values"].dtype == b["values"].dtype
+            assert a["values"].tobytes() == b["values"].tobytes()
+            assert a["checksum"] == b["checksum"]
+            assert b["values"].flags.writeable
         assert active_segments() == ()
 
     def test_large_array_kwargs_ride_the_pipe(self):

@@ -172,6 +172,18 @@ class TestEngineIntegration:
         assert second.cached_count == 3 and second.cache_hit_rate == 1.0
         assert first.values() == second.values()
 
+    def test_zero_d_array_kwarg_is_cached(self, tmp_path):
+        import numpy as np
+
+        cache = ResultCache(tmp_path)
+        jobs = [JobSpec(runner="test.echo", kwargs={"x": np.array(1.5)})]
+        first = execute(jobs, cache=cache)
+        assert [o.status for o in first] == ["ok"]
+        assert first.values()[0]["x"] == 1.5
+        second = execute(jobs, cache=cache)
+        assert [o.status for o in second] == ["cached"]
+        assert second.values() == first.values()
+
     def test_code_version_invalidates(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = SweepSpec(runners=["test.echo"], grid={"x": [1]}).expand()
@@ -307,9 +319,9 @@ class TestMaintenance:
                 self.events.append((event, fields))
 
         sink = Sink()
-        cache = ResultCache(tmp_path, events=sink)
+        cache = ResultCache(tmp_path)
         self._fill(cache, 3)
-        cache.gc(0)
+        cache.gc(0, events=sink)
         evicts = [f for e, f in sink.events if e == "cache_evict"]
         assert len(evicts) == 3
         assert all("bytes" in f and "entry" in f for f in evicts)

@@ -73,15 +73,34 @@ class TestSummaryWithoutStart:
         assert "[1/1] solo: ok" in err
 
 
+class TestReuse:
+    def test_restarted_tracker_counts_only_the_new_sweep(self):
+        tracker = ProgressTracker()
+        tracker.start(2)
+        tracker.update(_ok_outcome())
+        tracker.update(_ok_outcome())
+        tracker.finish()
+        tracker.start(1)
+        tracker.update(_ok_outcome())
+        assert tracker.summary().startswith("1/1 jobs: 1 ok")
+
+
 class TestSweepEvents:
     def test_start_finish_emit_sweep_events(self):
+        from repro.engine import JobSpec, execute
         from repro.obs.events import RecordingSink
 
         sink = RecordingSink()
-        tracker = ProgressTracker(events=sink)
-        tracker.start(3, workers=2)
-        tracker.update(_ok_outcome())
-        tracker.finish()
+        jobs = [JobSpec(runner="test.echo", index=0)] + [
+            JobSpec(runner="test.fail", index=i) for i in (1, 2)
+        ]
+        execute(
+            jobs,
+            workers=2,
+            retries=0,
+            events=sink,
+            progress=ProgressTracker(),
+        )
         (start,) = sink.of_type("sweep_start")
         assert start["jobs"] == 3 and start["workers"] == 2
         (end,) = sink.of_type("sweep_end")

@@ -60,6 +60,11 @@ class TestToJsonable:
     def test_arrays(self):
         assert to_jsonable(np.array([1.0, 2.0])) == [1.0, 2.0]
 
+    def test_zero_d_arrays_become_scalars(self):
+        assert to_jsonable(np.array(1.5)) == 1.5
+        assert to_jsonable(np.array(np.inf)) == "Infinity"
+        assert to_jsonable(np.array(True)) is True
+
     def test_huge_array_rejected(self):
         with pytest.raises(ValueError):
             to_jsonable(np.zeros(200_001))

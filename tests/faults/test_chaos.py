@@ -203,8 +203,8 @@ class TestLedgerTearFault:
         from repro.obs.events import EventLog, read_events
 
         path = tmp_path / "events.jsonl"
-        log = EventLog(path)
         plan = FaultPlan.single("ledger_tear", at=(9,))
+        log = EventLog(path, faults=plan)
         result = execute(_jobs(), workers=1, faults=plan, events=log)
         log.close()
         assert result.ok_count == N_JOBS  # the sweep itself is unharmed

@@ -240,7 +240,7 @@ class TestLiveSweepEndToEnd:
         def _sweep() -> None:
             log = EventLog(path)
             tracker = FleetSnapshotTracker(
-                shards_total=len(jobs), stream=None
+                shards_total=len(jobs), stream=None, events=log
             )
             try:
                 execute(jobs, events=log, progress=tracker)

@@ -73,8 +73,8 @@ class TestBoundedResultCache:
         scan = cache.gc
         late = [JobSpec(runner="test.echo", seed=99, label="late")]
 
-        def scan_then_put(max_bytes):
-            summary = scan(max_bytes)
+        def scan_then_put(max_bytes, events=None):
+            summary = scan(max_bytes, events=events)
             if late:
                 spec = late.pop()
                 cache.put(spec, cache.key_for(spec, "v"), {"blob": "z" * 40})
