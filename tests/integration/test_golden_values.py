@@ -8,15 +8,24 @@ re-checking. Update the pins only deliberately, alongside a re-run of
 the benchmark suite.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.engine import registry
+from repro.experiments.export import to_jsonable
 from repro.fleet import FleetSpec, run_fleet
+from repro.power.device import get_device
 from repro.radio.bands import NR_N71, NR_N261
+from repro.radio.carriers import get_network
 from repro.radio.signal import RsrpProcess, rsrp_at_distance
 from repro.rrc.machine import RRCStateMachine
 from repro.rrc.parameters import get_parameters
 from repro.traces.lumos import LumosConfig, generate_lumos_corpus
+from repro.traces.walking import WalkingTraceGenerator
+from repro.web.browser import Browser
 from repro.web.catalog import generate_catalog
 
 
@@ -136,3 +145,88 @@ class TestGoldenRsrpPipeline:
             round(groups["walk_mmwave_rsrp"]["quantiles"]["50"], 4),
             round(groups["dl_all"]["mean"], 4),
         ] == expected
+
+
+def _repr_digest(value) -> str:
+    """sha256 of ``repr(value)``: exact floats, so a 1-ulp drift (or a
+    float turned into an ``np.float64``) changes the digest."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestGoldenExactModels:
+    """Exact-value pins on the page-load model (Fig. 19-22, Table 6)
+    and the walking traces (Fig. 13/14): every float, not a rounding."""
+
+    def test_page_loads(self):
+        browser = Browser(seed=9)
+        rows = []
+        for site in generate_catalog(n_sites=40, seed=3):
+            for result in browser.load_both(site):
+                har = result.har
+                rows.append(
+                    (
+                        result.plt_s,
+                        result.energy_j,
+                        har.n_entries,
+                        har.on_load_ms,
+                        har.throughput_timeline_mbps(0.5),
+                        [
+                            (e.url, e.start_ms, e.duration_ms, e.size_bytes, e.dynamic)
+                            for e in har.entries
+                        ],
+                    )
+                )
+        assert sum(row[2] for row in rows) == 7910
+        assert _repr_digest(rows) == (
+            "454a12e88ec55dda5dacadcd8d451a8a7289cd9579c1236e5c384e7a09f9e352"
+        )
+
+    @pytest.mark.parametrize(
+        "key, uplink_fraction, seed, expected",
+        [
+            (
+                "verizon-nsa-mmwave", 0.0, 17,
+                "9afedf6461d8e4c432e4aad714db3781e33aab254af17bbd9bf3a1179a64e667",
+            ),
+            (
+                "verizon-nsa-lowband", 0.3, 23,
+                "b80b3df8cce39af071c65c77e7dd071e7e718012d54c511e9754f1de500e9083",
+            ),
+        ],
+    )
+    def test_walking_traces(self, key, uplink_fraction, seed, expected):
+        generator = WalkingTraceGenerator(
+            network=get_network(key),
+            device=get_device("S20U"),
+            uplink_fraction=uplink_fraction,
+            seed=seed,
+        )
+        traces = generator.generate_many(2)
+        if uplink_fraction:
+            assert all(np.any(t.ul_mbps > 0) for t in traces)
+        assert _repr_digest(
+            [
+                (
+                    t.times_s.tolist(),
+                    t.dl_mbps.tolist(),
+                    t.ul_mbps.tolist(),
+                    t.rsrp_dbm.tolist(),
+                    t.power_mw.tolist(),
+                )
+                for t in traces
+            ]
+        ) == expected
+
+    @pytest.mark.parametrize(
+        "runner, seed, expected",
+        [
+            ("table6", 7, "0a2aac44f0b7cc9361fc12d58fbd45667c15c04f93aa31239fd29f26a9237c64"),
+            ("table6", 71, "669b759ea1adcb5f6385b6fde2c5145096bef498e30fc6a9125c67a05267d320"),
+            ("fig19", 7, "d1d1faeaa631929d715acd6577c7bd5f9d7bb9268b3e4231d66cd7e96a186f7c"),
+            ("fig19", 71, "bb4275be503787a7273e0bfd677a169f2536d80bf796a59d436bafabf88e8748"),
+        ],
+    )
+    def test_web_runners(self, runner, seed, expected):
+        value = registry.call(runner, seed=seed, scale=0.05)
+        text = json.dumps(to_jsonable(value), sort_keys=True, allow_nan=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
