@@ -100,36 +100,45 @@ class WalkingTraceGenerator:
         cap_dl = link.capacity_series_mbps(rsrps, downlink=True).tolist()
         cap_ul = link.capacity_series_mbps(rsrps, downlink=False).tolist()
 
-        dls = np.zeros(n)
-        uls = np.zeros(n)
-        noises = np.empty(n)
+        dls = [0.0] * n
+        uls = [0.0] * n
+        noises = [0.0] * n
         # The workload alternates saturating and controlled-rate bursts
         # with idle pauses, mirroring the paper's mixed methodology
         # (in-the-wild walks plus controlled target-throughput runs).
         # This covers the full (throughput, RSRP) operating grid the
         # power model is later asked about — including 0 Mbps at good
         # signal and mid rates at strong signal.
+        # normal(loc, scale) is drawn as loc + scale * standard_normal()
+        # and uniform(a, b) as a + (b - a) * random(): NumPy's own
+        # definitions, so the values are the same bit for bit.
+        random = self._rng.random
+        standard_normal = self._rng.standard_normal
+        uplink_fraction = self.uplink_fraction
         transfer_active = True
         uplink_burst = False
         target_mbps = float("inf")  # saturating burst
         for i in range(n):
             if transfer_active:
-                if self._rng.random() < 1.0 / 300.0:  # ~30 s mean bursts
+                if random() < 1.0 / 300.0:  # ~30 s mean bursts
                     transfer_active = False
                 capacity = cap_ul[i] if uplink_burst else cap_dl[i]
-                share = min(max(float(self._rng.normal(0.8, 0.08)), 0.3), 1.0)
-                rate = min(capacity * share, target_mbps)
+                share = 0.8 + 0.08 * standard_normal()
+                share = 0.3 if share < 0.3 else 1.0 if share > 1.0 else share
+                rate = capacity * share
+                if rate > target_mbps:
+                    rate = target_mbps
                 if uplink_burst:
                     uls[i] = rate
                 else:
                     dls[i] = rate
             else:
-                if self._rng.random() < 1.0 / 50.0:  # ~5 s mean pauses
+                if random() < 1.0 / 50.0:  # ~5 s mean pauses
                     transfer_active = True
-                    uplink_burst = self._rng.random() < self.uplink_fraction
+                    uplink_burst = random() < uplink_fraction
                     # Half the bursts saturate; half run at a controlled
                     # target spanning the network's rate range.
-                    if self._rng.random() < 0.5:
+                    if random() < 0.5:
                         target_mbps = float("inf")
                     else:
                         peak = (
@@ -137,10 +146,12 @@ class WalkingTraceGenerator:
                             if uplink_burst
                             else self.network.peak_dl_mbps
                         )
-                        target_mbps = float(self._rng.uniform(5.0, peak))
-            noises[i] = self._rng.normal(1.0, 0.03)  # residual noise
+                        target_mbps = 5.0 + (peak - 5.0) * random()
+            noises[i] = 1.0 + 0.03 * standard_normal()  # residual noise
+        dls = np.array(dls)
+        uls = np.array(uls)
         powers = np.maximum(
-            curve.power_mw_series(dls, uls, rsrps) * noises, 0.0
+            curve.power_mw_series(dls, uls, rsrps) * np.array(noises), 0.0
         )
         return WalkingTrace(
             name=name,

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.power.device import DeviceProfile, get_device
 from repro.web.catalog import Website
-from repro.web.har import HarEntry, HarRecord
+from repro.web.har import HarRecord
 
 # Browsing-effective radio profiles: (bandwidth Mbps, RTT ms). The
 # mmWave bandwidth is capped by short-flow dynamics well below the
@@ -115,7 +115,6 @@ class Browser:
         bandwidth = profile["bandwidth_mbps"]
         rtt = profile["rtt_ms"]
 
-        har = HarRecord(page_url=website.name, radio=radio)
         setup_ms = _SETUP_RTTS * rtt
 
         # Dependency rounds: HTML first, then log2-ish waves of
@@ -129,6 +128,7 @@ class Browser:
         t_ms = setup_ms
         remaining = website.n_objects
         dynamic_left = website.n_dynamic
+        fetched = []  # per round: (start, per-object ms, objects, dynamic)
         for round_index in range(rounds):
             in_round = min(objects_per_round, remaining)
             if round_index == rounds - 1:
@@ -145,21 +145,27 @@ class Browser:
                 * (_DYNAMIC_COMPUTE_FACTOR - 1.0)
             )
             round_duration = rtt + _SERVER_THINK_MS + transfer + compute
-            per_object = round_duration / in_round
-            for k in range(in_round):
-                har.add(
-                    HarEntry(
-                        url=f"{website.name}/obj-{round_index}-{k}",
-                        start_ms=t_ms + k * per_object * 0.25,
-                        duration_ms=per_object,
-                        size_bytes=int(avg_object),
-                        dynamic=k < n_dynamic_in_round,
-                    )
-                )
+            fetched.append(
+                (t_ms, round_duration / in_round, in_round, n_dynamic_in_round)
+            )
             dynamic_left -= n_dynamic_in_round
             remaining -= in_round
             t_ms += round_duration
 
+        # A round's k-th object starts k quarter object-times after the
+        # round, and its first n_dynamic_in_round objects are dynamic.
+        starts, per_object, sizes, n_dynamic = (np.array(c) for c in zip(*fetched))
+        k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        per_object = np.repeat(per_object, sizes)
+        har = HarRecord.from_columns(
+            website.name,
+            radio,
+            sizes.tolist(),
+            start_ms=np.repeat(starts, sizes) + k * per_object * 0.25,
+            duration_ms=per_object,
+            size_bytes=np.full(k.size, int(avg_object)),
+            dynamic=k < np.repeat(n_dynamic, sizes),
+        )
         noise = float(np.clip(self._rng.normal(1.0, self.jitter), 0.7, 1.4))
         plt_s = har.on_load_ms / 1000.0 * noise
         energy = self._energy_j(har, profile["power_key"], plt_s)
@@ -173,9 +179,9 @@ class Browser:
         timeline = har.throughput_timeline_mbps(dt_s=0.5)
         if not timeline:
             return 0.0
-        energy_mj = 0.0  # mW * s
-        for rate in timeline:
-            energy_mj += curve.power_mw(dl_mbps=min(rate, 2000.0)) * 0.5
+        # mW * s, summed left to right as a running total.
+        power_mw = curve.power_mw_series(np.minimum(timeline, 2000.0), 0.0)
+        energy_mj = float(np.cumsum(power_mw * 0.5)[-1])
         # Scale to the jittered PLT so energy and PLT stay consistent.
         nominal_s = len(timeline) * 0.5
         return energy_mj / 1000.0 * (plt_s / max(nominal_s, 1e-9))

@@ -8,7 +8,9 @@ analyses only need per-object timings and sizes plus the total PLT, so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Any, List, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -34,53 +36,108 @@ class HarEntry:
 
 @dataclass
 class HarRecord:
-    """A page load: entries + summary timings."""
+    """A page load: entries + summary timings.
+
+    A load's objects can also be held as columns (:meth:`from_columns`),
+    which is all the summaries and the timeline read; ``entries`` then
+    builds the :class:`HarEntry` objects on first read. Once built (or
+    when the record was filled by :meth:`add`) the entries are the
+    record, so a caller that edits the list is seen.
+    """
 
     page_url: str
-    radio: str  # "4G" | "5G"
+    radio: str
     entries: List[HarEntry] = field(default_factory=list)
+
+    @classmethod
+    def from_columns(
+        cls,
+        page_url: str,
+        radio: str,
+        round_sizes: Sequence[int],
+        start_ms: np.ndarray,
+        duration_ms: np.ndarray,
+        size_bytes: np.ndarray,
+        dynamic: np.ndarray,
+    ) -> "HarRecord":
+        """A record of objects fetched in dependency rounds of
+        ``round_sizes`` objects each, in round order; the k-th object of
+        round r is ``"{page_url}/obj-{r}-{k}"``."""
+        record = cls.__new__(cls)
+        record.page_url = page_url
+        record.radio = radio
+        record._rounds = round_sizes
+        record._columns = (start_ms, duration_ms, size_bytes, dynamic)
+        return record
+
+    def __getattr__(self, name: str) -> Any:
+        # Normal lookup failed: only a column record's unread entries.
+        columns = self.__dict__.get("_columns")
+        if name != "entries" or columns is None:
+            raise AttributeError(name)
+        urls = [
+            f"{self.page_url}/obj-{r}-{k}"
+            for r, count in enumerate(self._rounds)
+            for k in range(count)
+        ]
+        self.entries = list(map(HarEntry, urls, *(c.tolist() for c in columns)))
+        return self.entries
+
+    def _arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Start, duration and size of every object."""
+        if "entries" not in self.__dict__:
+            return self._columns[:3]
+        entries = self.entries
+        return (
+            np.array([e.start_ms for e in entries], dtype=float),
+            np.array([e.duration_ms for e in entries], dtype=float),
+            np.array([e.size_bytes for e in entries], dtype=np.int64),
+        )
 
     def add(self, entry: HarEntry) -> None:
         self.entries.append(entry)
 
     @property
     def n_entries(self) -> int:
-        return len(self.entries)
+        return len(self._arrays()[0])
 
     @property
     def total_bytes(self) -> int:
-        return sum(e.size_bytes for e in self.entries)
+        return int(self._arrays()[2].sum())
 
     @property
     def on_load_ms(self) -> float:
         """PLT: the last object's completion time."""
-        if not self.entries:
+        start, duration, _ = self._arrays()
+        if not start.size:
             return 0.0
-        return max(e.end_ms for e in self.entries)
+        return float((start + duration).max())
 
     def throughput_timeline_mbps(self, dt_s: float = 1.0) -> List[float]:
         """Per-interval delivered throughput, for power-model input.
 
         This is the "extract the per-second throughput trace from the
         packet dumps and feed it to the power model" step of section 6.
+        Each object's bits spread uniformly over the bins its transfer
+        touches; a zero-duration object lands in its start bin.
         """
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
-        if not self.entries:
+        start, duration, size = self._arrays()
+        if not start.size:
             return []
-        horizon_ms = self.on_load_ms
-        n = max(1, int(horizon_ms / (dt_s * 1000.0)) + 1)
-        bits = [0.0] * n
-        for entry in self.entries:
-            if entry.duration_ms <= 0:
-                index = min(int(entry.start_ms / (dt_s * 1000.0)), n - 1)
-                bits[index] += entry.size_bytes * 8.0
-                continue
-            # Spread the object's bits uniformly over its transfer.
-            start_bin = int(entry.start_ms / (dt_s * 1000.0))
-            end_bin = min(int(entry.end_ms / (dt_s * 1000.0)), n - 1)
-            span = max(end_bin - start_bin + 1, 1)
-            per_bin = entry.size_bytes * 8.0 / span
-            for b in range(start_bin, start_bin + span):
-                bits[min(b, n - 1)] += per_bin
-        return [b / dt_s / 1e6 for b in bits]
+        end = start + duration
+        n = max(1, int(float(end.max()) / (dt_s * 1000.0)) + 1)
+        start_bin = (start / (dt_s * 1000.0)).astype(np.int64)
+        end_bin = np.minimum((end / (dt_s * 1000.0)).astype(np.int64), n - 1)
+        span = np.maximum(end_bin - start_bin + 1, 1)
+        # One (bin, bits) pair per bin an object touches, object-major,
+        # so np.add.at adds into each bin in entry order.
+        offset = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+        bits = np.zeros(n)
+        np.add.at(
+            bits,
+            np.minimum(np.repeat(start_bin, span) + offset, n - 1),
+            np.repeat(size * 8.0 / span, span),
+        )
+        return (bits / dt_s / 1e6).tolist()
