@@ -154,15 +154,16 @@ def record_from_result(
     """Build an archive record from a sweep result (duck-typed).
 
     ``result`` is anything shaped like
-    :class:`repro.engine.pool.SweepResult`: ``outcomes`` (each with
-    ``spec.runner``, ``status``, ``duration_s``), ``elapsed_s``,
-    ``workers``, ``stats``, ``code_version``. Per-runner duration
+    :class:`repro.engine.pool.SweepResult`: ``counts`` (``jobs`` and the
+    ``ok``/``cached``/``failed``/``skipped`` tally), ``outcomes`` (each
+    with ``spec.runner``, ``status``, ``duration_s``), ``elapsed_s``,
+    ``workers``, ``stats``, ``code_version``. The overall counts are
+    ``counts``, the tally the sweep's ledger reports; per-runner duration
     samples come from the executed outcomes (cached hits have no
     latency to archive).
     """
     reservoirs: Dict[str, SampleReservoir] = {}
     per_runner: Dict[str, Dict[str, int]] = {}
-    counts = {"ok": 0, "cached": 0, "failed": 0, "skipped": 0}
     for outcome in result.outcomes:
         runner = outcome.spec.runner
         bucket = per_runner.setdefault(
@@ -170,13 +171,15 @@ def record_from_result(
             {"jobs": 0, "ok": 0, "cached": 0, "failed": 0, "skipped": 0},
         )
         bucket["jobs"] += 1
-        status = outcome.status if outcome.status in counts else "failed"
+        status = outcome.status
+        if status not in ("ok", "cached", "failed", "skipped"):
+            status = "failed"
         bucket[status] += 1
-        counts[status] += 1
         if outcome.status in ("ok", "failed"):
             reservoirs.setdefault(runner, SampleReservoir()).add(
                 outcome.duration_s
             )
+    counts = result.counts
     stats = getattr(result, "stats", None) or {}
     counters = stats.get("counters", {})
     runners: Dict[str, Dict[str, Any]] = {}
@@ -194,7 +197,7 @@ def record_from_result(
         "workers": int(getattr(result, "workers", 1)),
         "backend": backend,
         "overall": {
-            "jobs": len(result.outcomes),
+            "jobs": counts["jobs"],
             "ok": counts["ok"],
             "cached": counts["cached"],
             "failed": counts["failed"],
@@ -203,9 +206,7 @@ def record_from_result(
             "timeouts": int(counters.get("timeouts", 0)),
             "elapsed_s": _round6(getattr(result, "elapsed_s", 0.0)),
             "cache_hit_rate": (
-                counts["cached"] / len(result.outcomes)
-                if result.outcomes
-                else 0.0
+                counts["cached"] / counts["jobs"] if counts["jobs"] else 0.0
             ),
         },
         "runners": runners,

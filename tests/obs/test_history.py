@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine import JobSpec, execute
+from repro.engine import JobSpec, ResultCache, execute
 from repro.obs.events import EventLog
 from repro.obs.history import (
     ARCHIVE_SCHEMA,
@@ -64,6 +64,27 @@ class TestRecordBuilders:
         assert entry["jobs"] == 3
         assert entry["p50_s"] is not None
         assert len(entry["samples"]) == 3
+
+    def test_record_overall_is_the_sweeps_counts(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        warm = JobSpec(runner="test.echo", kwargs={"x": 0}, index=0)
+        execute([warm], cache=cache)
+        result = execute(
+            [
+                warm,
+                JobSpec(runner="test.echo", kwargs={"x": 1}, index=1),
+                JobSpec(runner="test.fail", kwargs={}, index=2),
+                JobSpec(runner="test.echo", kwargs={"x": 3}, index=3),
+            ],
+            cache=cache,
+            retries=0,
+            max_failures=0,
+        )
+        counts = result.counts
+        assert counts == {"jobs": 4, "ok": 1, "cached": 1, "failed": 1, "skipped": 1}
+        overall = record_from_result(result, label="mixed")["overall"]
+        assert {key: overall[key] for key in counts} == counts
+        assert overall["cache_hit_rate"] == counts["cached"] / counts["jobs"]
 
     def test_record_from_ledger_matches_result_counts(self, tmp_path):
         path = tmp_path / "e.jsonl"
