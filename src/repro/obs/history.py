@@ -171,10 +171,7 @@ def record_from_result(
             {"jobs": 0, "ok": 0, "cached": 0, "failed": 0, "skipped": 0},
         )
         bucket["jobs"] += 1
-        status = outcome.status
-        if status not in ("ok", "cached", "failed", "skipped"):
-            status = "failed"
-        bucket[status] += 1
+        bucket[outcome.status] += 1
         if outcome.status in ("ok", "failed"):
             reservoirs.setdefault(runner, SampleReservoir()).add(
                 outcome.duration_s

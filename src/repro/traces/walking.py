@@ -109,12 +109,10 @@ class WalkingTraceGenerator:
         # This covers the full (throughput, RSRP) operating grid the
         # power model is later asked about — including 0 Mbps at good
         # signal and mid rates at strong signal.
-        # normal(loc, scale) is drawn as loc + scale * standard_normal()
-        # and uniform(a, b) as a + (b - a) * random(): NumPy's own
-        # definitions, so the values are the same bit for bit.
+        # normal(loc, scale) is loc + scale * standard_normal() and
+        # uniform(a, b) is a + (b - a) * random() in NumPy's own C code.
         random = self._rng.random
         standard_normal = self._rng.standard_normal
-        uplink_fraction = self.uplink_fraction
         transfer_active = True
         uplink_burst = False
         target_mbps = float("inf")  # saturating burst
@@ -135,7 +133,7 @@ class WalkingTraceGenerator:
             else:
                 if random() < 1.0 / 50.0:  # ~5 s mean pauses
                     transfer_active = True
-                    uplink_burst = random() < uplink_fraction
+                    uplink_burst = random() < self.uplink_fraction
                     # Half the bursts saturate; half run at a controlled
                     # target spanning the network's rate range.
                     if random() < 0.5:
@@ -148,10 +146,9 @@ class WalkingTraceGenerator:
                         )
                         target_mbps = 5.0 + (peak - 5.0) * random()
             noises[i] = 1.0 + 0.03 * standard_normal()  # residual noise
-        dls = np.array(dls)
-        uls = np.array(uls)
+        dls, uls, noises = np.array(dls), np.array(uls), np.array(noises)
         powers = np.maximum(
-            curve.power_mw_series(dls, uls, rsrps) * np.array(noises), 0.0
+            curve.power_mw_series(dls, uls, rsrps) * noises, 0.0
         )
         return WalkingTrace(
             name=name,

@@ -38,11 +38,10 @@ class HarEntry:
 class HarRecord:
     """A page load: entries + summary timings.
 
-    A load's objects can also be held as columns (:meth:`from_columns`),
-    which is all the summaries and the timeline read; ``entries`` then
-    builds the :class:`HarEntry` objects on first read. Once built (or
-    when the record was filled by :meth:`add`) the entries are the
-    record, so a caller that edits the list is seen.
+    A record made by :meth:`from_columns` builds its ``entries`` on
+    first read; until then the summaries and the timeline read its
+    columns. After that (and for records filled by :meth:`add`) they
+    read the entries, so edits to the list are seen.
     """
 
     page_url: str
@@ -83,16 +82,12 @@ class HarRecord:
         self.entries = list(map(HarEntry, urls, *(c.tolist() for c in columns)))
         return self.entries
 
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _arrays(self) -> Tuple[np.ndarray, ...]:
         """Start, duration and size of every object."""
         if "entries" not in self.__dict__:
             return self._columns[:3]
-        entries = self.entries
-        return (
-            np.array([e.start_ms for e in entries], dtype=float),
-            np.array([e.duration_ms for e in entries], dtype=float),
-            np.array([e.size_bytes for e in entries], dtype=np.int64),
-        )
+        rows = [(e.start_ms, e.duration_ms, e.size_bytes) for e in self.entries]
+        return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
 
     def add(self, entry: HarEntry) -> None:
         self.entries.append(entry)
