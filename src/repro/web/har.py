@@ -45,7 +45,7 @@ class HarRecord:
     """
 
     page_url: str
-    radio: str
+    radio: str  # "4G" | "5G"
     entries: List[HarEntry] = field(default_factory=list)
 
     @classmethod
@@ -122,7 +122,7 @@ class HarRecord:
         if not start.size:
             return []
         end = start + duration
-        n = max(1, int(float(end.max()) / (dt_s * 1000.0)) + 1)
+        n = max(1, int(end.max() / (dt_s * 1000.0)) + 1)
         start_bin = (start / (dt_s * 1000.0)).astype(np.int64)
         end_bin = np.minimum((end / (dt_s * 1000.0)).astype(np.int64), n - 1)
         span = np.maximum(end_bin - start_bin + 1, 1)

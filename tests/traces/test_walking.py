@@ -60,3 +60,18 @@ class TestWalkingTraces:
         )
         with pytest.raises(ValueError):
             generator.generate_many(0)
+
+
+class TestBoundDraws:
+    """The burst loop draws ``normal`` and ``uniform`` through bound
+    ``standard_normal`` and ``random``; that is bit-identical only while
+    NumPy defines them as ``loc + scale * z`` and ``a + (b - a) * u``."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2021])
+    def test_match_numpy_normal_and_uniform(self, seed):
+        rng, bound = np.random.default_rng(seed), np.random.default_rng(seed)
+        for peak in np.linspace(5.0, 3100.0, 2000).tolist():
+            assert rng.random() == bound.random()
+            assert rng.normal(0.8, 0.08) == 0.8 + 0.08 * bound.standard_normal()
+            assert rng.uniform(5.0, peak) == 5.0 + (peak - 5.0) * bound.random()
+            assert rng.normal(1.0, 0.03) == 1.0 + 0.03 * bound.standard_normal()

@@ -94,10 +94,9 @@ def _timed_entries(draw, dt_s):
     for i in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(["free", "zero", "edge", "after"]))
         if kind == "edge":
+            width = dt_s * 1000.0
             start = float(draw(st.integers(0, 4000)))
-            edge = (int(start / (dt_s * 1000.0)) + draw(st.integers(1, 3))) * (
-                dt_s * 1000.0
-            )
+            edge = (int(start / width) + draw(st.integers(1, 3))) * width
             duration = edge - start
             assert start + duration == edge
         else:
