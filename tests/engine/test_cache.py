@@ -18,6 +18,12 @@ class TestKeys:
         spec = JobSpec(runner="fig2", kwargs={"a": 1}, seed=3, scale=0.5)
         assert cache.key_for(spec, "v1") == cache.key_for(spec, "v1")
 
+    def test_key_is_pinned(self):
+        # Entries written by earlier versions must keep their keys.
+        cache = ResultCache.__new__(ResultCache)
+        spec = JobSpec(runner="fig2", kwargs={"a": 1}, seed=3, scale=0.5)
+        assert cache.key_for(spec, "v1") == "be0861a83df1e654073f2199"
+
     def test_key_varies_with_inputs(self):
         cache = ResultCache.__new__(ResultCache)
         base = JobSpec(runner="fig2", kwargs={"a": 1}, seed=3, scale=0.5)
