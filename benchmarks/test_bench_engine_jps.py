@@ -117,8 +117,7 @@ def test_engine_jobs_per_second(benchmark):
     results = benchmark.pedantic(_measure, rounds=1, iterations=1)
 
     # Dispatch must never change results: serial == lease of one ==
-    # default lease == per-job reference, byte-for-byte, on the default
-    # (numpy64) backend.
+    # default lease == per-job reference, byte-for-byte.
     identity_jobs = _sweep(["fig2"], IDENTITY_JOBS, scale=FIG2_SCALE)
     canon = {}
     for mode, workers, lease_size in (

@@ -76,7 +76,6 @@ from repro.experiments.export import (
     to_jsonable,
     write_json,
 )
-from repro.kernels.backend import UnknownBackendError
 
 
 def _artifact_ids() -> List[str]:
@@ -127,14 +126,6 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         default=None,
         help="on-disk result cache; repeated invocations become incremental",
-    )
-    parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help="compute backend for the kernels (numpy64, numpy32; "
-        "default numpy64, or $REPRO_BACKEND). "
-        "Non-default backends key the cache separately",
     )
     parser.add_argument("--json", metavar="PATH", help="write the result as JSON")
 
@@ -509,13 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="jobs per lease (1 = per-job dispatch; default: ~4 "
         "leases per worker)",
     )
-    serve.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help="server-wide default compute backend (a submission's own "
-        "'backend' field wins)",
-    )
 
     cache_cmd = sub.add_parser(
         "cache", help="inspect or garbage-collect a result cache directory"
@@ -570,13 +554,7 @@ def _cmd_run(args) -> int:
     spec = JobSpec(
         runner=args.artifact, seed=args.seed, scale=args.scale, label=args.artifact
     )
-    try:
-        result = execute(
-            [spec], workers=args.workers, cache=cache, backend=args.backend
-        )
-    except UnknownBackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = execute([spec], workers=args.workers, cache=cache)
     outcome = result.outcomes[0]
     if outcome.status == "failed":
         failure = outcome.failure
@@ -718,25 +696,20 @@ def _cmd_sweep(args) -> int:
         tracker = ProgressTracker(stream=None if args.quiet else sys.stderr)
     gauge_results = None
     try:
-        try:
-            result = execute(
-                specs,
-                workers=args.workers,
-                timeout_s=args.timeout,
-                retries=args.retries,
-                cache=cache,
-                progress=tracker,
-                events=events_sink,
-                faults=faults,
-                max_failures=args.max_failures,
-                trace=False if args.no_trace else None,
-                profile_dir=args.profile_dir,
-                lease_size=args.lease_size,
-                backend=args.backend,
-            )
-        except UnknownBackendError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        result = execute(
+            specs,
+            workers=args.workers,
+            timeout_s=args.timeout,
+            retries=args.retries,
+            cache=cache,
+            progress=tracker,
+            events=events_sink,
+            faults=faults,
+            max_failures=args.max_failures,
+            trace=False if args.no_trace else None,
+            profile_dir=args.profile_dir,
+            lease_size=args.lease_size,
+        )
         fleet_summary = None
         if fleet_spec is not None:
             fleet_summary = _fleet_summary(fleet_spec, result)
@@ -809,12 +782,7 @@ def _archive_sweep(args, result, gauge_results, fleet_spec) -> None:
     if fleet_spec is not None:
         label = f"fleet --ues {fleet_spec.ues}"
     try:
-        record = record_from_result(
-            result,
-            label=label,
-            gauges=gauge_results,
-            backend=args.backend,
-        )
+        record = record_from_result(result, label=label, gauges=gauge_results)
         run_id = RunArchive(archive_dir).append(record)
     except OSError as exc:
         print(
@@ -980,7 +948,6 @@ def _cmd_serve(args) -> int:
             replay_journal=not args.no_replay,
             job_workers=args.job_workers,
             lease_size=args.lease_size,
-            backend=args.backend,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.experiments.export import from_jsonable, to_jsonable
 from repro.engine.spec import JobSpec
-from repro.kernels.backend import DEFAULT_BACKEND
 from repro.obs.events import EventSink
 
 PathLike = Union[str, Path]
@@ -305,11 +304,6 @@ class ResultCache:
             "scale": spec.scale,
             "code_version": code_version or default_code_version(),
         }
-        # Non-default backends change numeric results, so they key the
-        # entry; the default is deliberately *omitted* (not stamped as
-        # "numpy64") to keep every pre-backend cache entry valid.
-        if spec.backend is not None and spec.backend != DEFAULT_BACKEND:
-            payload["backend"] = spec.backend
         canonical = json.dumps(
             payload, sort_keys=True, separators=(",", ":"), allow_nan=False
         )

@@ -74,7 +74,6 @@ from repro.engine.errors import TRANSIENT_ERRORS, JobTimeoutError
 from repro.engine.progress import ProgressTracker
 from repro.engine.spec import JobSpec, SweepSpec
 from repro.experiments.export import to_jsonable
-from repro.kernels.backend import get_backend, use_backend
 from repro.obs.events import EventSink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, activate as trace_activate, span as trace_span
@@ -275,8 +274,6 @@ def _payload_from(
         "retries": int(retries),
         "backoff_s": float(backoff_s),
     }
-    if spec.backend is not None:
-        payload["backend"] = spec.backend
     if faults_payload is not None:
         payload["faults"] = faults_payload
     if trace_ctx is not None:
@@ -305,20 +302,7 @@ def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     ``BaseException`` (KeyboardInterrupt, SystemExit) deliberately
     propagates: in serial mode it aborts the sweep; in a worker it
     kills the process, which the parent settles as a worker crash.
-
-    A ``"backend"`` entry activates that compute backend (see
-    :mod:`repro.kernels.backend`) for the job's full attempt loop —
-    here, not at dispatch, so in-thread and leased execution resolve
-    the backend through the identical code path.
     """
-    backend_name = payload.get("backend")
-    if backend_name is not None:
-        with use_backend(backend_name):
-            return _execute_payload_traced(payload)
-    return _execute_payload_traced(payload)
-
-
-def _execute_payload_traced(payload: Dict[str, Any]) -> Dict[str, Any]:
     trace_ctx = payload.get("trace")
     if trace_ctx is None:
         with trace_activate(None):
@@ -870,7 +854,7 @@ def _run_batch_leases(
 
 
 def _run_summary_fields(
-    result: SweepResult, counts: Dict[str, int], backend: Optional[str]
+    result: SweepResult, counts: Dict[str, int]
 ) -> Dict[str, Any]:
     """The ``run_summary`` event payload for one finished sweep;
     ``counts`` is ``result.counts``."""
@@ -893,7 +877,6 @@ def _run_summary_fields(
         ),
         "elapsed_s": round(result.elapsed_s, 6),
         "workers": result.workers,
-        "backend": backend,
         "code_version": result.code_version,
         "runners": runners,
     }
@@ -931,7 +914,6 @@ def execute(
     trace: Optional[bool] = None,
     profile_dir: Optional[Any] = None,
     lease_size: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """Run every job to an outcome; never raises for job failures.
 
@@ -991,11 +973,6 @@ def execute(
     lease size, and to ``workers=1``. A ``timeout_s`` sweep called off
     the main thread runs in one lease worker (see
     :func:`_lease_workers`).
-
-    ``backend`` stamps a compute backend (see
-    :mod:`repro.kernels.backend`) on every job that doesn't already
-    carry one; unknown backends fail fast here, before any work is
-    dispatched. Non-default backends participate in cache keys.
     """
     if lease_size is not None and int(lease_size) < 1:
         raise ValueError("lease_size must be >= 1")
@@ -1008,15 +985,6 @@ def execute(
             spec if spec.index == i else spec.replace(index=i)
             for i, spec in enumerate(jobs)
         ]
-    if backend is not None:
-        specs = [
-            spec if spec.backend is not None else spec.replace(backend=backend)
-            for spec in specs
-        ]
-    # Fail fast on unknown backends — before cache lookups and worker
-    # spawns, so a typo'd --backend dies in milliseconds.
-    for name in sorted({s.backend for s in specs if s.backend is not None}):
-        get_backend(name)
     started = time.monotonic()
     registry_ = metrics if metrics is not None else MetricsRegistry()
     trace_on = (events is not None) if trace is None else bool(trace)
@@ -1250,9 +1218,7 @@ def execute(
         # re-deriving engine configuration. Emitted before
         # sweep_end so that event stays the ledger's terminal
         # progress marker.
-        events.emit(
-            "run_summary", **_run_summary_fields(result, counts, backend)
-        )
+        events.emit("run_summary", **_run_summary_fields(result, counts))
         events.emit("sweep_end", **counts, elapsed_s=round(elapsed, 6))
     if progress is not None:
         progress.finish()

@@ -39,7 +39,6 @@ def artifact_jobs(
     artifacts: Sequence[str],
     base_seed: Optional[int] = None,
     scale: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> List["JobSpec"]:
     """The canonical job list for a plain artifact sweep.
 
@@ -57,7 +56,6 @@ def artifact_jobs(
             scale=scale,
             index=i,
             label=name,
-            backend=backend,
         )
         for i, (name, seed) in enumerate(zip(artifacts, seeds))
     ]
@@ -70,11 +68,6 @@ class JobSpec:
     ``seed`` and ``scale`` are kept out of ``kwargs`` so the pool can
     inject them only when the runner's signature accepts them (e.g.
     ``run_tail_power`` takes neither).
-
-    ``backend`` names the compute backend the job's kernels run on
-    (see :mod:`repro.kernels.backend`); ``None`` means the process
-    default. Non-default backends change numeric results, so they are
-    part of the cache key.
     """
 
     runner: str
@@ -83,7 +76,6 @@ class JobSpec:
     scale: Optional[float] = None
     index: int = 0
     label: str = ""
-    backend: Optional[str] = None
 
     @property
     def display(self) -> str:
@@ -97,8 +89,6 @@ class JobSpec:
             attrs["seed"] = self.seed
         if self.scale is not None:
             attrs["scale"] = self.scale
-        if self.backend is not None:
-            attrs["backend"] = self.backend
         return attrs
 
     def replace(self, **changes: Any) -> "JobSpec":
@@ -120,8 +110,7 @@ class SweepSpec:
     ``max_failures`` is the sweep's failure budget: once more than
     that many jobs fail, the pool stops launching new ones and settles
     the rest as skipped (``None`` = unlimited tolerance, the default —
-    every job always runs). ``backend`` stamps every expanded job with
-    one compute backend (``None`` = process default).
+    every job always runs).
     """
 
     runners: Sequence[str]
@@ -131,7 +120,6 @@ class SweepSpec:
     base_seed: Optional[int] = None
     scale: Optional[float] = None
     max_failures: Optional[int] = None
-    backend: Optional[str] = None
 
     def grid_points(self) -> List[Dict[str, Any]]:
         """The grid's cartesian product as kwarg overlay dicts."""
@@ -173,7 +161,6 @@ class SweepSpec:
                     scale=self.scale,
                     index=index,
                     label=label,
-                    backend=self.backend,
                 )
             )
         return jobs

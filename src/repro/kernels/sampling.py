@@ -7,6 +7,7 @@ scalar-only callables fall back to a per-element loop, and plain
 numbers broadcast. The returned values are identical to calling the
 scalar path at each grid point — ufunc arithmetic on float64 arrays
 matches Python-float arithmetic bit-for-bit for ``+ - * / min max``.
+Values are always returned as float64.
 """
 
 from __future__ import annotations
@@ -15,22 +16,14 @@ from typing import Callable, Union
 
 import numpy as np
 
-from repro.kernels import backend as _backend
-
 SeriesLike = Union[float, Callable[[float], float]]
 
 
 def sample_series(fn: SeriesLike, times_s: np.ndarray) -> np.ndarray:
-    """Evaluate ``fn`` over ``times_s``, vectorized when possible.
-
-    Arrays are allocated in the active compute backend's dtype
-    (:mod:`repro.kernels.backend`); ``numpy64`` reproduces the
-    historical float64 behaviour bit-for-bit.
-    """
-    dtype = _backend.active_dtype()
-    times_s = np.asarray(times_s, dtype=dtype)
+    """Evaluate ``fn`` over ``times_s``, vectorized when possible."""
+    times_s = np.asarray(times_s, dtype=np.float64)
     if not callable(fn):
-        return np.full(times_s.shape, float(fn), dtype=dtype)
+        return np.full(times_s.shape, float(fn), dtype=np.float64)
     try:
         values = fn(times_s)
     except (TypeError, ValueError):
@@ -43,9 +36,9 @@ def sample_series(fn: SeriesLike, times_s: np.ndarray) -> np.ndarray:
         # fail confusingly or, worse, succeed with different data).
         values = None
     if values is not None:
-        values = np.asarray(values, dtype=dtype)
+        values = np.asarray(values, dtype=np.float64)
         if values.shape == times_s.shape:
             return values
         if values.ndim == 0:  # constant-valued callable
-            return np.full(times_s.shape, float(values), dtype=dtype)
-    return np.array([float(fn(float(t))) for t in times_s], dtype=dtype)
+            return np.full(times_s.shape, float(values), dtype=np.float64)
+    return np.array([float(fn(float(t))) for t in times_s], dtype=np.float64)

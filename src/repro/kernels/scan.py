@@ -25,33 +25,28 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels import backend as _backend
-
 # Blocks keep |coeff|**-i within float64 range; 4096 steps of the
 # fastest-decaying constants used anywhere in the library stay well
 # clear of overflow (|c| >= 0.85 => |c|**-4096 < 1e290).
 _BLOCK = 4096
 
 
-def _block_size(coeff: float, dtype: Any = np.float64) -> int:
-    """Largest block for which ``coeff**-i`` stays finite in ``dtype``."""
+def _block_size(coeff: float) -> int:
+    """Largest block for which ``coeff**-i`` stays finite in float64."""
     mag = abs(coeff)
     if mag >= 1.0 or mag == 0.0:
         return _BLOCK
-    # |c|**-B < 10**limit  =>  B < limit*ln(10)/(-ln|c|), with the
-    # exponent headroom of the accumulation dtype (float32 overflows
-    # at ~3.4e38, so its blocks are shorter).
-    limit = 280.0 if np.dtype(dtype).itemsize >= 8 else 30.0
-    safe = int(limit * np.log(10.0) / -np.log(mag))
+    # |c|**-B < 10**280  =>  B < 280*ln(10)/(-ln|c|).
+    safe = int(280.0 * np.log(10.0) / -np.log(mag))
     return max(1, min(_BLOCK, safe))
 
 
-def _init_rows(init: Any, shape: tuple, dtype: Any) -> np.ndarray:
+def _init_rows(init: Any, shape: tuple) -> np.ndarray:
     """Broadcast a scalar-or-per-row ``init`` to the batch shape."""
-    arr = np.asarray(init, dtype=dtype)
+    arr = np.asarray(init, dtype=np.float64)
     if arr.ndim == 0:
-        return np.full(shape, arr, dtype=dtype)
-    return np.ascontiguousarray(np.broadcast_to(arr, shape), dtype=dtype)
+        return np.full(shape, arr, dtype=np.float64)
+    return np.ascontiguousarray(np.broadcast_to(arr, shape), dtype=np.float64)
 
 
 def ar1_scan(coeff: float, x: np.ndarray, init: Any = 0.0) -> np.ndarray:
@@ -66,32 +61,27 @@ def ar1_scan(coeff: float, x: np.ndarray, init: Any = 0.0) -> np.ndarray:
     ``x`` may have leading batch axes (e.g. a UE axis): the scan runs
     along the last axis, each row bit-identical to the 1-D call on
     that row. ``init`` may be a scalar or any shape broadcastable to
-    ``x.shape[:-1]``.
-
-    The allocation/accumulation dtype follows the active compute
-    backend (:mod:`repro.kernels.backend`); under ``numpy64`` (the
-    default) this is bit-identical to the historical float64 path,
-    while ``numpy32`` trades precision for memory traffic.
+    ``x.shape[:-1]``. The scan allocates and accumulates in float64,
+    whatever the dtype of ``x``.
     """
-    dtype = _backend.active_dtype()
-    x = np.asarray(x, dtype=dtype)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0:
         raise ValueError("x must have at least one dimension")
     if abs(coeff) > 1.0:
         raise ValueError("|coeff| must be <= 1 for a stable scan")
     n = x.shape[-1]
-    out = np.empty(x.shape, dtype=dtype)
+    out = np.empty(x.shape, dtype=np.float64)
     if n == 0:
         return out
     if coeff == 0.0:
         np.copyto(out, x)
         return out
-    carry = _init_rows(init, x.shape[:-1], dtype)
-    block = _block_size(coeff, dtype)
+    carry = _init_rows(init, x.shape[:-1])
+    block = _block_size(coeff)
     for start in range(0, n, block):
         chunk = x[..., start : start + block]
         m = chunk.shape[-1]
-        powers = coeff ** np.arange(m, dtype=dtype)
+        powers = coeff ** np.arange(m, dtype=np.float64)
         # y_local[i] = sum_{j<=i} c**(i-j) * chunk[j]
         local = powers * np.cumsum(chunk / powers, axis=-1)
         out[..., start : start + m] = (

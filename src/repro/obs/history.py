@@ -148,7 +148,6 @@ def record_from_result(
     label: str,
     kind: str = "sweep",
     gauges: Optional[Sequence[Any]] = None,
-    backend: Optional[str] = None,
     extra: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Build an archive record from a sweep result (duck-typed).
@@ -192,7 +191,6 @@ def record_from_result(
         "label": label,
         "code_version": getattr(result, "code_version", None),
         "workers": int(getattr(result, "workers", 1)),
-        "backend": backend,
         "overall": {
             "jobs": counts["jobs"],
             "ok": counts["ok"],
@@ -273,7 +271,6 @@ def record_from_ledger(
         "label": label,
         "code_version": meta.get("code_version"),
         "workers": int(meta.get("workers", 0)) or None,
-        "backend": meta.get("backend"),
         "stats_schema": aggregate.get("schema", STATS_SCHEMA),
         "overall": {
             key: aggregate["overall"][key]

@@ -38,9 +38,7 @@ class ServeConfig:
     per sweep (1 = serial in the worker thread, >1 fans out lease
     workers; a sweep with a timeout runs in one lease worker even at
     1, since only a main thread can arm its ``SIGALRM``).
-    ``lease_size`` sizes those leases (see ``docs/performance.md``)
-    and ``backend`` sets a server-wide default compute backend (a
-    submission's own ``"backend"`` field wins).
+    ``lease_size`` sizes those leases (see ``docs/performance.md``).
     """
 
     data_dir: PathLike = ".repro-serve"
@@ -56,7 +54,6 @@ class ServeConfig:
     replay_journal: bool = True
     drain_grace_s: float = 30.0
     lease_size: Optional[int] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:

@@ -57,7 +57,6 @@ class JobRequest:
     timeout_s: Optional[float] = None
     retries: Optional[int] = None
     tenant: str = "anonymous"
-    backend: Optional[str] = None
 
     @classmethod
     def from_payload(
@@ -100,19 +99,9 @@ class JobRequest:
         tenant = payload.get("tenant", default_tenant)
         if not isinstance(tenant, str) or not tenant:
             raise BadRequest("'tenant' must be a non-empty string")
-        backend = payload.get("backend")
-        if backend is not None:
-            if not isinstance(backend, str) or not backend:
-                raise BadRequest("'backend' must be a non-empty string")
-            from repro.kernels.backend import UnknownBackendError, get_backend
-
-            try:
-                get_backend(backend)
-            except UnknownBackendError as exc:
-                raise BadRequest(str(exc)) from None
         unknown_keys = set(payload) - {
             "artifacts", "seed", "scale", "workers", "timeout_s",
-            "retries", "tenant", "backend",
+            "retries", "tenant",
         }
         if unknown_keys:
             raise BadRequest(
@@ -126,16 +115,12 @@ class JobRequest:
             timeout_s=float(timeout_s) if timeout_s is not None else None,
             retries=retries,
             tenant=tenant,
-            backend=backend,
         )
 
     def to_specs(self) -> List[JobSpec]:
         """The canonical spec list — identical to the ``sweep`` CLI's."""
         return artifact_jobs(
-            list(self.artifacts),
-            base_seed=self.seed,
-            scale=self.scale,
-            backend=self.backend,
+            list(self.artifacts), base_seed=self.seed, scale=self.scale
         )
 
     def as_payload(self) -> Dict[str, Any]:
@@ -150,8 +135,6 @@ class JobRequest:
             payload["timeout_s"] = self.timeout_s
         if self.retries is not None:
             payload["retries"] = self.retries
-        if self.backend is not None:
-            payload["backend"] = self.backend
         return payload
 
     def spec_key(self) -> str:
@@ -159,21 +142,13 @@ class JobRequest:
 
         Execution knobs that cannot change results (workers, timeout,
         retries, tenant) are excluded, so the key identifies the
-        *work*, mirroring the engine cache's key philosophy. A
-        non-default ``backend`` changes numbers, so it is part of the
-        key — and the default is omitted (not stamped) to keep every
-        pre-backend journal entry's key stable.
+        *work*, mirroring the engine cache's key philosophy.
         """
         body: Dict[str, Any] = {
             "artifacts": list(self.artifacts),
             "seed": self.seed,
             "scale": self.scale,
         }
-        if self.backend is not None:
-            from repro.kernels.backend import DEFAULT_BACKEND
-
-            if self.backend != DEFAULT_BACKEND:
-                body["backend"] = self.backend
         canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

@@ -381,7 +381,6 @@ class ServeServer:
                 code_version=self.code_version,
                 events=sink,
                 lease_size=self.config.lease_size,
-                backend=request.backend or self.config.backend,
             )
             state = self._settle(record, result, sink)
         except Exception as exc:  # defensive: execute() shouldn't raise

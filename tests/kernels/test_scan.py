@@ -141,6 +141,18 @@ class TestSampleSeries:
         )
 
 
+class TestFloat64:
+    def test_float32_input_computes_in_float64(self):
+        x = np.random.default_rng(0).standard_normal(256).astype(np.float32)
+        wide = x.astype(np.float64)
+        out = ar1_scan(0.9, x, 0.0)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, ar1_scan(0.9, wide, 0.0))
+        series = sample_series(lambda t: 2.0 * t, x)
+        assert series.dtype == np.float64
+        np.testing.assert_array_equal(series, 2.0 * wide)
+
+
 class TestBatchedScans:
     """2D (leading batch axes) scans: per-row bit-identical to 1-D."""
 
