@@ -166,7 +166,7 @@ class Browser:
             size_bytes=np.full(k.size, int(avg_object)),
             dynamic=k < np.repeat(n_dynamic, sizes),
         )
-        noise = float(np.clip(self._rng.normal(1.0, self.jitter), 0.7, 1.4))
+        noise = float(min(max(self._rng.normal(1.0, self.jitter), 0.7), 1.4))
         plt_s = har.on_load_ms / 1000.0 * noise
         energy = self._energy_j(har, profile["power_key"], plt_s)
         return PageLoadResult(

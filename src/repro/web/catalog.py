@@ -131,17 +131,17 @@ def generate_catalog(n_sites: int = 1500, seed: int = 11) -> WebsiteCatalog:
     rng = np.random.default_rng(seed)
     sites: List[Website] = []
     for i in range(n_sites):
-        n_objects = int(np.clip(rng.lognormal(np.log(70.0), 0.9), 2, 1200))
-        dynamic_ratio = float(np.clip(rng.beta(2.0, 3.5), 0.0, 0.98))
+        n_objects = int(min(max(rng.lognormal(np.log(70.0), 0.9), 2), 1200))
+        dynamic_ratio = float(min(max(rng.beta(2.0, 3.5), 0.0), 0.98))
         n_dynamic = int(round(dynamic_ratio * n_objects))
-        n_images = int(np.clip(rng.binomial(n_objects, 0.4), 0, n_objects))
+        n_images = int(min(max(rng.binomial(n_objects, 0.4), 0), n_objects))
         n_videos = int(rng.poisson(0.4))
-        avg_object_kb = float(np.clip(rng.lognormal(np.log(28.0), 0.7), 2.0, 400.0))
+        avg_object_kb = float(min(max(rng.lognormal(np.log(28.0), 0.7), 2.0), 400.0))
         total_bytes = int(n_objects * avg_object_kb * 1024)
         # Dynamic objects skew smaller (scripts, beacons) than media.
         dynamic_bytes = int(
             total_bytes
-            * np.clip(dynamic_ratio * rng.uniform(0.5, 1.1), 0.0, 1.0)
+            * min(max(dynamic_ratio * rng.uniform(0.5, 1.1), 0.0), 1.0)
         )
         sites.append(
             Website(
